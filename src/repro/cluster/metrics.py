@@ -16,12 +16,11 @@ metric by refusing work.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..telemetry.instrument import record_cluster
-from ..telemetry.registry import MetricsRegistry
+from ..telemetry.registry import MetricsRegistry, nearest_rank
 
 #: Request outcomes a tenant's offered traffic resolves into.
 OUTCOMES = ("completed", "shed", "rejected", "expired")
@@ -161,11 +160,6 @@ class ClusterMetrics:
         return rows
 
 
-def _percentile(ordered: list[float], pct: float) -> float:
-    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-    return ordered[rank - 1]
-
-
 def _latency_stats(latencies: list[float]) -> tuple[float, float, float]:
     """Empty-safe (p50, p99, mean): all 0.0 when nothing completed.
 
@@ -177,8 +171,8 @@ def _latency_stats(latencies: list[float]) -> tuple[float, float, float]:
         return 0.0, 0.0, 0.0
     ordered = sorted(latencies)
     return (
-        _percentile(ordered, 50),
-        _percentile(ordered, 99),
+        nearest_rank(ordered, 50),
+        nearest_rank(ordered, 99),
         sum(ordered) / len(ordered),
     )
 

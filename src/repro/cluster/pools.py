@@ -28,8 +28,9 @@ from ..config import AcceleratorConfig, ClusterConfig, ModelConfig, PoolConfig
 from ..gpu_model.kernels import ffn_resblock_kernels, mha_resblock_kernels
 from ..gpu_model.v100 import GpuSpec, v100_batched
 from ..serving.admission import AdmissionQueue
-from ..serving.batching import BatchCostModel, DynamicBatcher
+from ..serving.batching import Batch, BatchCostModel, DynamicBatcher
 from ..serving.devices import WorkerPool
+from ..telemetry.registry import nearest_rank
 
 #: Time base of GPU-pool "cycles": 1000 MHz -> one cycle is one
 #: nanosecond, so roofline microsecond latencies convert losslessly.
@@ -124,25 +125,36 @@ def build_cost_model(
 
 
 class PoolRuntime:
-    """One pool's live state inside the cluster event loop.
+    """One pool's live state inside the fleet event loop.
 
     Bundles the admission queue, the dynamic batcher, the worker pool
     and the router/autoscaler bookkeeping (latency EWMA, completed-
     latency window, busy-time snapshots, cooldown stamps) that the
     cluster-level policies read.
+
+    ``cost`` and ``track_prefix`` let :func:`repro.serving.simulate_serving`
+    run its caller's accelerator and double-buffering choice (which a
+    :class:`~repro.config.PoolConfig` cannot express) with unprefixed
+    trace tracks; cluster pools build both from their config.
     """
 
     def __init__(
         self, config: PoolConfig, cluster: ClusterConfig, model: ModelConfig,
         seq_len: int,
+        cost: Optional[BatchCostModel] = None,
+        track_prefix: Optional[str] = None,
     ) -> None:
         self.config = config
         self.name = config.name
-        self.cost = build_cost_model(config, model, seq_len)
+        self.cost = (
+            build_cost_model(config, model, seq_len) if cost is None else cost
+        )
         self.workers = WorkerPool(
             config.num_devices, config.placement, self.cost, self.cost.acc,
             mem=config.memory if config.kind == "fpga" else None,
-            track_prefix=f"{config.name}.",
+            track_prefix=(
+                f"{config.name}." if track_prefix is None else track_prefix
+            ),
         )
         self.queue = AdmissionQueue(
             cluster.queue_capacity, cluster.queue_timeout_us
@@ -159,11 +171,16 @@ class PoolRuntime:
         self.last_scale_down_us = float("-inf")
         self.busy_us_snapshot = 0.0
         self.completions: deque[tuple[float, float]] = deque()
-        # Accounting.
+        # Accounting: dispatched batches in dispatch order, plus the
+        # per-batch counter-track samples taken at each batch's final
+        # completion (useful-MAC share and cumulative weight-cache hit
+        # rate).
         self.routed = 0
         self.completed = 0
-        self.batches = 0
-        self.batch_log: list[tuple[int, int]] = []
+        self.batches: list[Batch] = []
+        self.mac_share = self.cost.ideal_cycles / self.cost.run_cycles
+        self.util_samples: list[tuple[float, float]] = []
+        self.cache_samples: list[tuple[float, float]] = []
 
     @property
     def active_device_count(self) -> int:
@@ -216,9 +233,7 @@ class PoolRuntime:
             self.completions.popleft()
         if not self.completions:
             return 0.0
-        ordered = sorted(lat for _, lat in self.completions)
-        rank = max(1, int(0.99 * len(ordered) + 0.9999999))
-        return ordered[min(rank, len(ordered)) - 1]
+        return nearest_rank(sorted(lat for _, lat in self.completions), 99)
 
     def interval_busy_fraction(self, interval_us: float) -> float:
         """Busy fraction since the last snapshot; advances the snapshot.

@@ -25,7 +25,6 @@ from collections import deque
 from typing import Optional
 
 from ..config import ClusterConfig
-from ..errors import ServingError
 from .pools import PoolRuntime
 from .workload import ClusterRequest
 
@@ -40,8 +39,10 @@ class Router:
         self._fairness_window_us = cluster.fairness_window_us
         self._weights = {t.name: t.weight for t in cluster.tenants}
         self._total_weight = sum(self._weights.values())
-        # Sliding window of (admit_time, tenant) used by the fairness
-        # guard; per-tenant counts are kept incrementally.
+        # Sliding window of (admit_time, tenant) used by the "slo"
+        # policy's fairness guard; per-tenant counts are kept
+        # incrementally.  Other policies never read it, so only "slo"
+        # runs fill it (and their requests need no tenant).
         self._admitted: deque[tuple[float, str]] = deque()
         self._admitted_by_tenant = dict.fromkeys(self._weights, 0)
         self.shed = 0
@@ -71,11 +72,11 @@ class Router:
         """Pick the pool for ``request`` (``None`` = shed at the door).
 
         Only the ``"slo"`` policy ever sheds; the others always return
-        a pool and let its admission queue do the bounding.
+        a pool and let its admission queue do the bounding.  When every
+        pool has failed the policy picks among the dead ones, whose
+        queues strand the request as ``"failed"``.
         """
-        alive = self._alive()
-        if not alive:
-            raise ServingError("every pool in the cluster has failed")
+        alive = self._alive() or self.pools
         if self.policy == "round_robin":
             choice = alive[self._rr_next % len(alive)]
             self._rr_next += 1
@@ -91,8 +92,9 @@ class Router:
                 self.shed += 1
                 return None
         self.decisions[choice.name] += 1
-        self._admitted.append((now_us, request.tenant))
-        self._admitted_by_tenant[request.tenant] += 1
+        if self.policy == "slo":
+            self._admitted.append((now_us, request.tenant))
+            self._admitted_by_tenant[request.tenant] += 1
         return choice
 
     def _route_slo(

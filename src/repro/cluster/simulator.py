@@ -1,26 +1,37 @@
-"""Discrete-event cluster simulation: router + pools + autoscaler.
+"""Discrete-event fleet simulation: router + pools + autoscaler.
 
+:func:`run_fleet` is the repo's one batch-serving event loop.
 :func:`simulate_cluster` drives a merged multi-tenant workload through
-the SLO-aware router into N heterogeneous pools — each one an existing
-:mod:`repro.serving` admission queue + dynamic batcher + worker pool —
-while a threshold autoscaler grows and drains replicate pools from the
-live telemetry signals.  One event heap orders everything:
+it into N heterogeneous pools — each one a :mod:`repro.serving`
+admission queue + dynamic batcher + worker pool — while a threshold
+autoscaler grows and drains replicate pools from the live telemetry
+signals; :func:`repro.serving.simulate_serving` runs the same loop as a
+one-pool, one-tenant, round-robin fleet with fault injection on.  One
+event heap orders everything; at equal timestamps events run in this
+kind order, then in the order they were scheduled:
 
+* ``COMPLETION`` — a dispatched batch's final attempt finishes;
+  records, latencies, SLO attainment and the router's per-pool EWMA
+  update *here*, so routing only ever sees information from the past;
 * ``ARRIVAL`` — a request reaches the router, which picks a pool (or
   sheds under the ``"slo"`` policy) and the pool's queue admits or
   rejects it;
-* ``COMPLETION`` — a dispatched batch finishes; latencies, SLO
-  attainment and the router's per-pool EWMA update *here*, so routing
-  only ever sees information from the past;
-* ``POOL_FREE`` / ``WAKEUP`` — per-pool dispatch retries and batching
-  / expiry deadlines, exactly as in the single-pool simulator;
+* ``POOL_FREE`` — a busy pool can take its next batch;
+* ``WAKEUP`` — a batching cut-off or queue-expiry deadline;
 * ``SCALER`` — periodic autoscaler ticks.
 
-The run is exactly reproducible from its
-:class:`~repro.config.ClusterConfig`; the result carries per-tenant and
-per-pool summaries, every ``repro_cluster_*`` series, and one Chrome
-trace with per-pool device tracks, queue-wait spans, router/autoscaler
-marker tracks and per-pool counter tracks.
+Every arrival, pool-free and wake-up event first expires its pool's
+queue, then dispatches from it until the pool is busy, the batcher
+holds, or the queue is empty.  Dispatch is also where faults strike:
+each run may fail-stop one of its devices, an ABFT-protected batch
+whose run faulted is re-dispatched up to ``max_retries`` times (then
+fails), an unprotected one completes silently corrupted, and a pool
+with no live device strands its whole queue as failed.
+
+The run is exactly reproducible from its config; a cluster result
+carries per-tenant and per-pool summaries, every ``repro_cluster_*``
+series, and one Chrome trace with per-pool device tracks, queue-wait
+spans, router/autoscaler marker tracks and per-pool counter tracks.
 """
 
 from __future__ import annotations
@@ -31,11 +42,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..config import ClusterConfig, ModelConfig
-from ..core.trace import TraceSpan, counter_events, write_span_trace
+from ..config import AcceleratorConfig, ClusterConfig, ModelConfig
+from ..core.trace import TraceSpan, time_sorted_counters, write_span_trace
 from ..errors import ServingError
 from ..obs.spans import AttemptSpan, request_trace
-from ..serving.simulator import attempt_boundary
+from ..serving.workload import Request
 from .autoscaler import Autoscaler, ScaleAction
 from .metrics import OUTCOMES, ClusterMetrics, compute_cluster_metrics
 from .pools import PoolRuntime
@@ -43,6 +54,8 @@ from .router import Router
 from .workload import ClusterRequest, cluster_workload, validate_cluster_workload
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from ..obs.slo import BurnRateMonitor
     from ..obs.spans import TraceCollector
     from ..telemetry.registry import MetricsRegistry
@@ -51,6 +64,23 @@ _COMPLETION, _ARRIVAL, _POOL_FREE, _WAKEUP, _SCALER = 0, 1, 2, 3, 4
 
 #: Default SA row count / max sequence length for cluster runs.
 DEFAULT_SEQ_LEN = 64
+
+
+def attempt_boundary(acc: AcceleratorConfig, outcome) -> Optional[float]:
+    """Where compute ends and the exposed reload stall begins.
+
+    Only attributable for single-span (replicated) dispatches whose
+    span args carry the run/reload cycle split; layer-sharded
+    pipelines interleave stages and return ``None``.
+    """
+    if len(outcome.spans) != 1:
+        return None
+    args = outcome.spans[0].args
+    cycles = args.get("cycles")
+    reload_cycles = args.get("reload_cycles")
+    if cycles is None or reload_cycles is None:
+        return None
+    return outcome.start_us + acc.cycles_to_us(cycles - reload_cycles)
 
 
 @dataclass
@@ -103,22 +133,14 @@ class ClusterResult:
         ``extra_spans`` appends caller-supplied tracks — e.g. a
         :class:`~repro.obs.slo.BurnRateMonitor`'s ``slo_alerts`` row.
         """
-        spans = self.spans + list(extra_spans or ())
-        counters = []
-        for pool_name, samples in self.depth_samples.items():
-            if samples:
-                counters.extend(counter_events(
-                    f"{pool_name}.queue_depth",
-                    sorted(samples, key=lambda s: s[0]),
-                ))
-        for pool_name, samples in self.device_samples.items():
-            if samples:
-                counters.extend(counter_events(
-                    f"{pool_name}.devices",
-                    sorted(samples, key=lambda s: s[0]),
-                ))
+        counters = time_sorted_counters(
+            [(f"{name}.queue_depth", samples)
+             for name, samples in self.depth_samples.items()]
+            + [(f"{name}.devices", samples)
+               for name, samples in self.device_samples.items()]
+        )
         return write_span_trace(
-            spans, path, counters=counters,
+            self.spans + list(extra_spans or ()), path, counters=counters,
             other_data={
                 "router_policy": self.metrics.router_policy,
                 "slo_attainment": self.metrics.slo_attainment,
@@ -126,6 +148,329 @@ class ClusterResult:
                 "makespan_us": self.metrics.makespan_us,
             },
         )
+
+
+@dataclass
+class FleetRecord:
+    """One request's outcome inside :func:`run_fleet`.
+
+    The union of what cluster records (``pool``, ``attained``) and
+    serving records (``batch_id``, ``corrupted``) report.
+    """
+
+    request: Request
+    status: str
+    pool: Optional[str] = None
+    batch_id: Optional[int] = None
+    dispatched_us: Optional[float] = None
+    completed_us: Optional[float] = None
+    corrupted: bool = False
+    attained: bool = False
+
+
+@dataclass
+class FleetRun:
+    """What :func:`run_fleet` leaves besides the pools' own state."""
+
+    records: list[FleetRecord]
+    spans: list[TraceSpan]
+    device_samples: dict[str, list[tuple]]
+    router: Router
+    actions: list[ScaleAction]
+    retried: int
+
+
+def run_fleet(
+    cluster: ClusterConfig,
+    pools: list[PoolRuntime],
+    requests: Sequence[Request],
+    *,
+    tracer: Optional["TraceCollector"] = None,
+    monitor: Optional["BurnRateMonitor"] = None,
+    batch_fault_rate: float = 0.0,
+    device_failure_rate: float = 0.0,
+    max_retries: int = 0,
+    fault_rng: Optional["np.random.Generator"] = None,
+) -> FleetRun:
+    """Run time-sorted ``requests`` through the fleet's event loop.
+
+    ``cluster`` supplies the router policy, autoscaler, queue timeout
+    and EWMA smoothing (the pools hold the rest).  When the requests
+    are :class:`ClusterRequest` objects the run judges their tenant
+    SLOs: completions get ``attained``, traces carry tenant and pool
+    labels and ``monitor`` is fed.  Serving's plain requests have no
+    SLO; their completion traces report ``corrupted`` instead.  The
+    fault rates follow :class:`~repro.config.ServingConfig` and draw
+    from ``fault_rng``.
+    """
+    slo = bool(requests) and isinstance(requests[0], ClusterRequest)
+    by_name = {p.name: p for p in pools}
+    router = Router(cluster, pools)
+    scaler = Autoscaler(cluster.autoscaler, pools)
+    if monitor is not None and cluster.autoscaler.scale_up_burn_rate is not None:
+        scaler.attach_burn_source(monitor.max_short_burn)
+
+    records: dict[int, FleetRecord] = {}
+    spans: list[TraceSpan] = []
+    device_samples: dict[str, list[tuple]] = {
+        p.name: [(0.0, p.active_device_count)] for p in pools
+    }
+    in_flight = 0
+    retried = 0
+    remaining_arrivals = len(requests)
+    seq = itertools.count()
+    heap: list = []
+
+    def push(at_us: float, kind: int, payload) -> None:
+        heapq.heappush(heap, (at_us, kind, next(seq), payload))
+
+    for request in requests:
+        push(request.arrival_us, _ARRIVAL, request)
+    if cluster.autoscaler.enabled:
+        push(cluster.autoscaler.interval_us, _SCALER, None)
+
+    def trace(request, status: str, pool: Optional[PoolRuntime],
+              attrs: Optional[dict] = None, **kwargs) -> None:
+        """Hand one request's span tree to the tracer (if any)."""
+        if tracer is None:
+            return
+        if slo:
+            kwargs["tenant"] = request.tenant
+            if pool is not None:
+                attrs = {"pool": pool.name, **(attrs or {})}
+        tracer.add(request_trace(
+            req_id=request.req_id, status=status,
+            arrival_us=request.arrival_us, attrs=attrs, **kwargs,
+        ))
+
+    def observe(now_us: float, request, ok: bool) -> None:
+        if monitor is not None:
+            monitor.observe(now_us, request.tenant, ok)
+
+    def fault_marker(name: str, at_us: float, args: dict) -> None:
+        spans.append(TraceSpan(name=name, track="faults", start_us=at_us,
+                               duration_us=0.0, args=args))
+
+    def fail_stop(pool: PoolRuntime, outcome) -> None:
+        """Draw a fail-stop for the run that just finished."""
+        if device_failure_rate > 0.0 and fault_rng.random() < device_failure_rate:
+            victims = outcome.device_ids
+            victim = victims[int(fault_rng.integers(0, len(victims)))]
+            pool.workers.fail_device(victim, outcome.completion_us)
+            fault_marker(f"device{victim}.failure", outcome.completion_us,
+                         {"event": "device_failure", "device": victim})
+
+    def attempt(pool: PoolRuntime, dispatched_us: float, outcome) -> AttemptSpan:
+        """Trace view of one dispatch attempt (tracer-only path)."""
+        return AttemptSpan(
+            dispatched_us, outcome.start_us, outcome.completion_us,
+            attempt_boundary(pool.workers.acc, outcome),
+            attrs={"devices": ",".join(map(str, outcome.device_ids))},
+        )
+
+    def run_batch(pool: PoolRuntime, batch, now_us: float) -> None:
+        """Dispatch ``batch``, play out its fault/retry chain, book it."""
+        nonlocal in_flight, retried
+        workers = pool.workers
+        outcome = workers.dispatch(batch, now_us)
+        pool.batches.append(batch)
+        spans.extend(outcome.spans)
+        attempts = [attempt(pool, now_us, outcome)] if tracer is not None else []
+        fail_stop(pool, outcome)
+        # With ABFT the checksum syndrome flags a faulted run at drain
+        # and the batch is re-dispatched (paying full cycles again) up
+        # to max_retries times; without ABFT the fault sails through.
+        faulted = batch_fault_rate > 0.0 and fault_rng.random() < batch_fault_rate
+        tries = 0
+        while (faulted and workers.acc.abft_protected
+               and tries < max_retries and workers.pool_alive):
+            tries += 1
+            retried += 1
+            retry_at = outcome.completion_us
+            fault_marker(f"batch{batch.batch_id}.retry{tries}", retry_at,
+                         {"event": "abft_retry", "attempt": tries})
+            outcome = workers.dispatch(batch, retry_at)
+            spans.extend(outcome.spans)
+            if tracer is not None:
+                attempts.append(attempt(pool, retry_at, outcome))
+            fail_stop(pool, outcome)
+            faulted = fault_rng.random() < batch_fault_rate
+        pool.util_samples.append((
+            outcome.completion_us,
+            pool.mac_share * (batch.total_tokens / workers.acc.seq_len),
+        ))
+        lookups = workers.weight_cache_hits + workers.weight_cache_misses
+        if lookups:
+            pool.cache_samples.append((
+                outcome.completion_us, workers.weight_cache_hits / lookups,
+            ))
+        failed = faulted and workers.acc.abft_protected
+        in_flight += batch.num_requests
+        for request in batch.requests:
+            record = records[request.req_id]
+            record.batch_id = batch.batch_id
+            record.dispatched_us = now_us
+            wait = now_us - request.arrival_us
+            if wait > 0 and not failed:
+                args = {"tenant": request.tenant} if slo else {}
+                args.update(seq_len=request.seq_len, batch=batch.batch_id)
+                spans.append(TraceSpan(
+                    name=f"req{request.req_id}.wait",
+                    track=f"{workers.track_prefix}queue",
+                    start_us=request.arrival_us, duration_us=wait,
+                    args=args,
+                ))
+        push(outcome.completion_us, _COMPLETION,
+             (pool, batch, outcome, tuple(attempts), faulted))
+
+    def complete(pool: PoolRuntime, batch, outcome, attempts, faulted) -> None:
+        """Book a batch whose final attempt just ended."""
+        nonlocal in_flight
+        in_flight -= batch.num_requests
+        done_us = outcome.completion_us
+        failed = faulted and pool.workers.acc.abft_protected
+        if not failed:
+            pool.completed += batch.num_requests
+        for request in batch.requests:
+            record = records[request.req_id]
+            if failed:
+                record.status = "failed"
+                trace(request, "failed", pool,
+                      attrs={"batch": batch.batch_id,
+                             "reason": "retries_exhausted"},
+                      dispatched_us=record.dispatched_us, attempts=attempts)
+                observe(done_us, request, False)
+                continue
+            record.status = "completed"
+            record.completed_us = done_us
+            record.corrupted = faulted
+            pool.observe_completion(
+                done_us, done_us - request.arrival_us, cluster.ewma_alpha
+            )
+            attrs = {"batch": batch.batch_id}
+            if slo:
+                record.attained = done_us <= request.deadline_us
+                attrs.update(deadline_us=request.deadline_us,
+                             attained=record.attained,
+                             slo_violated=not record.attained)
+            else:
+                attrs["corrupted"] = faulted
+            trace(request, "completed", pool, attrs=attrs,
+                  dispatched_us=record.dispatched_us, attempts=attempts)
+            observe(done_us, request, record.attained)
+
+    def dispatch(pool: PoolRuntime, now_us: float) -> None:
+        queue, workers = pool.queue, pool.workers
+        while len(queue):
+            if not workers.pool_alive:
+                # Degraded to dead: strand everything still queued.
+                for request in queue.pop_front(len(queue), now_us):
+                    records[request.req_id].status = "failed"
+                    trace(request, "failed", pool,
+                          attrs={"reason": "pool_dead"}, end_us=now_us)
+                    observe(now_us, request, False)
+                return
+            if not workers.can_accept(now_us):
+                push(workers.next_free_us(), _POOL_FREE, pool)
+                return
+            batch = pool.batcher.try_form(
+                queue, now_us, force=(remaining_arrivals == 0)
+            )
+            if batch is None:
+                deadline = min(
+                    pool.batcher.next_deadline_us(queue),
+                    queue.next_expiry_us(),
+                )
+                if deadline != float("inf"):
+                    push(max(deadline, now_us), _WAKEUP, pool)
+                return
+            run_batch(pool, batch, now_us)
+
+    def expire_queue(pool: PoolRuntime, now_us: float) -> None:
+        for request in pool.queue.expire(now_us):
+            records[request.req_id].status = "expired"
+            trace(request, "expired", pool,
+                  end_us=request.arrival_us + cluster.queue_timeout_us)
+            observe(now_us, request, False)
+
+    def run_scaler(now_us: float) -> None:
+        for action in scaler.evaluate(now_us):
+            pool = by_name[action.pool]
+            device_samples[pool.name].append(
+                (now_us, pool.active_device_count)
+            )
+            spans.append(TraceSpan(
+                name=(f"{action.pool}.scale_{action.direction}"
+                      f".device{action.device_id}"),
+                track="autoscaler",
+                start_us=now_us, duration_us=0.0,
+                args={"pool": action.pool, "direction": action.direction,
+                      "reason": action.reason,
+                      "device": action.device_id},
+            ))
+            if action.direction == "up":
+                dispatch(pool, now_us)
+        if remaining_arrivals > 0 or in_flight > 0 or any(
+            len(p.queue) for p in pools
+        ):
+            push(now_us + cluster.autoscaler.interval_us, _SCALER, None)
+
+    def arrive(request, now_us: float) -> None:
+        record = records[request.req_id] = FleetRecord(request, "shed")
+        pool = router.route(request, now_us)
+        if pool is None:
+            spans.append(TraceSpan(
+                name=f"req{request.req_id}.shed",
+                track="router",
+                start_us=now_us, duration_us=0.0,
+                args={"tenant": request.tenant,
+                      "deadline_us": request.deadline_us},
+            ))
+            trace(request, "shed", None)
+            observe(now_us, request, False)
+        else:
+            record.pool = pool.name
+            pool.routed += 1
+            if not pool.queue.offer(request, now_us):
+                record.status = "rejected"
+                trace(request, "rejected", pool)
+                observe(now_us, request, False)
+            else:
+                record.status = "queued"
+                if cluster.queue_timeout_us != float("inf"):
+                    push(request.arrival_us + cluster.queue_timeout_us,
+                         _WAKEUP, pool)
+            expire_queue(pool, now_us)
+            dispatch(pool, now_us)
+        # The last arrival force-flushes every pool's partial batch.
+        if remaining_arrivals == 0:
+            for p in pools:
+                if p is not pool:
+                    dispatch(p, now_us)
+
+    while heap:
+        now_us, kind, _, payload = heapq.heappop(heap)
+        if _POOL_FREE <= kind <= _WAKEUP:  # payload: the pool concerned
+            expire_queue(payload, now_us)
+            dispatch(payload, now_us)
+        elif kind == _COMPLETION:
+            complete(*payload)
+        elif kind == _ARRIVAL:
+            remaining_arrivals -= 1
+            arrive(payload, now_us)
+        else:
+            run_scaler(now_us)
+
+    if any(r.status == "queued" for r in records.values()):
+        raise ServingError("fleet run ended with requests still queued")
+    return FleetRun(
+        records=[records[r.req_id] for r in requests],
+        spans=spans,
+        device_samples=device_samples,
+        router=router,
+        actions=list(scaler.actions),
+        retried=retried,
+    )
 
 
 def simulate_cluster(
@@ -173,234 +518,16 @@ def simulate_cluster(
         PoolRuntime(pool_cfg, cluster, model, seq_len)
         for pool_cfg in cluster.pools
     ]
-    by_name = {p.name: p for p in pools}
-    router = Router(cluster, pools)
-    scaler = Autoscaler(cluster.autoscaler, pools)
-    if monitor is not None and cluster.autoscaler.scale_up_burn_rate is not None:
-        scaler.attach_burn_source(monitor.max_short_burn)
-
-    records: dict[int, ClusterRecord] = {}
-    spans: list[TraceSpan] = []
-    device_samples: dict[str, list[tuple]] = {
-        p.name: [(0.0, p.active_device_count)] for p in pools
-    }
-    in_flight = 0
-    remaining_arrivals = len(requests)
-
-    seq = itertools.count()
-    heap: list = []
-    for request in requests:
-        heapq.heappush(
-            heap, (request.arrival_us, _ARRIVAL, next(seq), request)
-        )
-    if cluster.autoscaler.enabled:
-        heapq.heappush(
-            heap, (cluster.autoscaler.interval_us, _SCALER, next(seq), None)
-        )
-
-    def attempt_dispatch(pool: PoolRuntime, now_us: float) -> None:
-        nonlocal in_flight
-        while len(pool.queue):
-            if not pool.workers.can_accept(now_us):
-                heapq.heappush(
-                    heap,
-                    (pool.workers.next_free_us(), _POOL_FREE, next(seq),
-                     pool),
-                )
-                return
-            batch = pool.batcher.try_form(
-                pool.queue, now_us, force=(remaining_arrivals == 0)
-            )
-            if batch is None:
-                deadline = min(
-                    pool.batcher.next_deadline_us(pool.queue),
-                    pool.queue.next_expiry_us(),
-                )
-                if deadline != float("inf"):
-                    heapq.heappush(
-                        heap,
-                        (max(deadline, now_us), _WAKEUP, next(seq), pool),
-                    )
-                return
-            outcome = pool.workers.dispatch(batch, now_us)
-            pool.batches += 1
-            pool.batch_log.append((batch.num_requests, batch.total_tokens))
-            in_flight += batch.num_requests
-            spans.extend(outcome.spans)
-            for request in batch.requests:
-                record = records[request.req_id]
-                record.dispatched_us = now_us
-                wait = now_us - request.arrival_us
-                if wait > 0:
-                    spans.append(TraceSpan(
-                        name=f"req{request.req_id}.wait",
-                        track=f"{pool.name}.queue",
-                        start_us=request.arrival_us, duration_us=wait,
-                        args={"tenant": request.tenant,
-                              "seq_len": request.seq_len,
-                              "batch": batch.batch_id},
-                    ))
-            heapq.heappush(
-                heap,
-                (outcome.completion_us, _COMPLETION, next(seq),
-                 (pool, batch, outcome)),
-            )
-
-    def expire_queue(pool: PoolRuntime, now_us: float) -> None:
-        for request in pool.queue.expire(now_us):
-            records[request.req_id].status = "expired"
-            if tracer is not None:
-                tracer.add(request_trace(
-                    req_id=request.req_id, status="expired",
-                    arrival_us=request.arrival_us,
-                    end_us=request.arrival_us + cluster.queue_timeout_us,
-                    tenant=request.tenant,
-                    attrs={"pool": pool.name},
-                ))
-            if monitor is not None:
-                monitor.observe(now_us, request.tenant, False)
-
-    def run_scaler(now_us: float) -> None:
-        for action in scaler.evaluate(now_us):
-            pool = by_name[action.pool]
-            device_samples[pool.name].append(
-                (now_us, pool.active_device_count)
-            )
-            spans.append(TraceSpan(
-                name=(f"{action.pool}.scale_{action.direction}"
-                      f".device{action.device_id}"),
-                track="autoscaler",
-                start_us=now_us, duration_us=0.0,
-                args={"pool": action.pool, "direction": action.direction,
-                      "reason": action.reason,
-                      "device": action.device_id},
-            ))
-            if action.direction == "up":
-                attempt_dispatch(pool, now_us)
-        if remaining_arrivals > 0 or in_flight > 0 or any(
-            len(p.queue) for p in pools
-        ):
-            heapq.heappush(
-                heap,
-                (now_us + cluster.autoscaler.interval_us, _SCALER,
-                 next(seq), None),
-            )
-
-    while heap:
-        now_us, kind, _, payload = heapq.heappop(heap)
-        if kind == _COMPLETION:
-            pool, batch, outcome = payload
-            in_flight -= batch.num_requests
-            pool.completed += batch.num_requests
-            for request in batch.requests:
-                record = records[request.req_id]
-                record.status = "completed"
-                record.completed_us = outcome.completion_us
-                record.attained = (
-                    outcome.completion_us <= request.deadline_us
-                )
-                pool.observe_completion(
-                    outcome.completion_us, record.latency_us,
-                    cluster.ewma_alpha,
-                )
-                if tracer is not None:
-                    tracer.add(request_trace(
-                        req_id=request.req_id, status="completed",
-                        arrival_us=request.arrival_us,
-                        dispatched_us=record.dispatched_us,
-                        attempts=(AttemptSpan(
-                            record.dispatched_us, outcome.start_us,
-                            outcome.completion_us,
-                            attempt_boundary(pool.workers.acc, outcome),
-                            attrs={"devices": ",".join(
-                                map(str, outcome.device_ids)
-                            )},
-                        ),),
-                        tenant=request.tenant,
-                        attrs={
-                            "pool": pool.name,
-                            "batch": batch.batch_id,
-                            "deadline_us": request.deadline_us,
-                            "attained": record.attained,
-                            "slo_violated": not record.attained,
-                        },
-                    ))
-                if monitor is not None:
-                    monitor.observe(
-                        outcome.completion_us, request.tenant,
-                        record.attained,
-                    )
-            attempt_dispatch(pool, now_us)
-            continue
-        if kind == _ARRIVAL:
-            remaining_arrivals -= 1
-            record = ClusterRecord(payload, "shed")
-            records[payload.req_id] = record
-            pool = router.route(payload, now_us)
-            if pool is None:
-                spans.append(TraceSpan(
-                    name=f"req{payload.req_id}.shed",
-                    track="router",
-                    start_us=now_us, duration_us=0.0,
-                    args={"tenant": payload.tenant,
-                          "deadline_us": payload.deadline_us},
-                ))
-                if tracer is not None:
-                    tracer.add(request_trace(
-                        req_id=payload.req_id, status="shed",
-                        arrival_us=payload.arrival_us,
-                        tenant=payload.tenant,
-                    ))
-                if monitor is not None:
-                    monitor.observe(now_us, payload.tenant, False)
-                if remaining_arrivals == 0:
-                    for p in pools:
-                        attempt_dispatch(p, now_us)
-                continue
-            record.pool = pool.name
-            pool.routed += 1
-            if not pool.queue.offer(payload, now_us):
-                record.status = "rejected"
-                if tracer is not None:
-                    tracer.add(request_trace(
-                        req_id=payload.req_id, status="rejected",
-                        arrival_us=payload.arrival_us,
-                        tenant=payload.tenant,
-                        attrs={"pool": pool.name},
-                    ))
-                if monitor is not None:
-                    monitor.observe(now_us, payload.tenant, False)
-            else:
-                record.status = "queued"
-                if cluster.queue_timeout_us != float("inf"):
-                    heapq.heappush(
-                        heap,
-                        (payload.arrival_us + cluster.queue_timeout_us,
-                         _WAKEUP, next(seq), pool),
-                    )
-            expire_queue(pool, now_us)
-            attempt_dispatch(pool, now_us)
-            # The last arrival force-flushes every pool's partial batch.
-            if remaining_arrivals == 0:
-                for p in pools:
-                    if p is not pool:
-                        attempt_dispatch(p, now_us)
-            continue
-        if kind == _SCALER:
-            run_scaler(now_us)
-            continue
-        # _POOL_FREE / _WAKEUP carry the pool they concern.
-        pool = payload
-        expire_queue(pool, now_us)
-        attempt_dispatch(pool, now_us)
-
-    if any(r.status == "queued" for r in records.values()):
-        raise ServingError("cluster run ended with requests still queued")
+    run = run_fleet(cluster, pools, requests, tracer=tracer, monitor=monitor)
+    records = [
+        ClusterRecord(r.request, r.status, r.pool, r.dispatched_us,
+                      r.completed_us, r.attained)
+        for r in run.records
+    ]
 
     first_arrival = requests[0].arrival_us if requests else 0.0
     last_completion = max(
-        (r.completed_us for r in records.values()
-         if r.completed_us is not None),
+        (r.completed_us for r in records if r.completed_us is not None),
         default=first_arrival,
     )
     makespan_us = last_completion - first_arrival
@@ -414,14 +541,14 @@ def simulate_cluster(
     tenant_latencies: dict[str, list[float]] = {
         name: [] for name in tenant_names
     }
-    for request in requests:
-        record = records[request.req_id]
-        tenant_offered[request.tenant] += 1
-        tenant_outcomes[request.tenant][record.status] += 1
+    for record in records:
+        tenant = record.request.tenant
+        tenant_offered[tenant] += 1
+        tenant_outcomes[tenant][record.status] += 1
         if record.attained:
-            tenant_attained[request.tenant] += 1
+            tenant_attained[tenant] += 1
         if record.latency_us is not None:
-            tenant_latencies[request.tenant].append(record.latency_us)
+            tenant_latencies[tenant].append(record.latency_us)
 
     metrics = compute_cluster_metrics(
         policy=cluster.router_policy,
@@ -429,13 +556,16 @@ def simulate_cluster(
         tenant_outcomes=tenant_outcomes,
         tenant_slo_attained=tenant_attained,
         tenant_latencies_us=tenant_latencies,
-        routing_decisions=dict(router.decisions),
-        shed=router.shed,
+        routing_decisions=dict(run.router.decisions),
+        shed=run.router.shed,
         autoscale_actions=[
-            (a.at_us, a.pool, a.direction, a.reason) for a in scaler.actions
+            (a.at_us, a.pool, a.direction, a.reason) for a in run.actions
         ],
         pool_completed={p.name: p.completed for p in pools},
-        pool_batches={p.name: list(p.batch_log) for p in pools},
+        pool_batches={
+            p.name: [(b.num_requests, b.total_tokens) for b in p.batches]
+            for p in pools
+        },
         pool_cache={
             p.name: (p.workers.weight_cache_hits,
                      p.workers.weight_cache_misses)
@@ -444,7 +574,7 @@ def simulate_cluster(
         pool_depth_samples={
             p.name: list(p.queue.depth_samples) for p in pools
         },
-        pool_device_samples=device_samples,
+        pool_device_samples=run.device_samples,
         pool_busy_fraction={
             p.name: (
                 sum(d.busy_us for d in p.workers.devices)
@@ -458,15 +588,14 @@ def simulate_cluster(
         makespan_us=makespan_us,
         registry=registry,
     )
-    ordered = [records[r.req_id] for r in requests]
     return ClusterResult(
         cluster=cluster,
         metrics=metrics,
-        records=ordered,
-        actions=list(scaler.actions),
-        spans=spans,
+        records=records,
+        actions=run.actions,
+        spans=run.spans,
         depth_samples={
             p.name: list(p.queue.depth_samples) for p in pools
         },
-        device_samples=device_samples,
+        device_samples=run.device_samples,
     )

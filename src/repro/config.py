@@ -154,14 +154,6 @@ def bert_large() -> ModelConfig:
     )
 
 
-def tiny_for_tests() -> ModelConfig:
-    """A minimal config (h=1, d_model=64) for fast unit tests."""
-    return ModelConfig(
-        "tiny", d_model=64, d_ff=256, num_heads=1,
-        num_encoder_layers=1, num_decoder_layers=1, max_seq_len=16,
-    )
-
-
 #: All Table I presets keyed by canonical name.
 TABLE1_PRESETS: dict[str, ModelConfig] = {
     "transformer-base": transformer_base(),

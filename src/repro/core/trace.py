@@ -19,7 +19,7 @@ Two pathways share the format:
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,7 +35,8 @@ _UNIT_TRACKS = {"sa": 0, "softmax": 1, "layernorm": 2, "dram": 3}
 #: track must be registered here (keeping the viewer's row inventory,
 #: and any tooling keyed on track names, in one place).
 KNOWN_TRACK_PATTERNS = tuple(_UNIT_TRACKS) + (
-    "queue",      # serving: per-request admission-to-dispatch waits
+    "*queue",     # fleet: per-request admission-to-dispatch waits
+                  # (serving ``queue``, cluster ``<pool>.queue``)
     "faults",     # serving: ABFT retries and device-failure markers
     "device*",    # serving: one row per simulated accelerator
     "batch*",     # serving: optional per-batch breakout rows
@@ -44,7 +45,6 @@ KNOWN_TRACK_PATTERNS = tuple(_UNIT_TRACKS) + (
     "weight_cache_hit_rate",  # serving: cumulative cache hit rate
     "repro_*",    # telemetry: registry timeseries exported as counters
     "*device*",   # cluster: pool-prefixed device rows (<pool>.deviceN)
-    "*.queue",    # cluster: per-pool admission-wait rows
     "router",     # cluster: shed-decision markers
     "autoscaler",  # cluster: scale-up/down action markers
     "*.queue_depth",  # cluster: per-pool queue-depth counters
@@ -154,6 +154,25 @@ def counter_events(
             "pid": 0,
             "args": {name: value},
         })
+    return events
+
+
+def time_sorted_counters(
+    tracks: Iterable[tuple[str, Sequence[tuple]]],
+) -> list[dict]:
+    """Counter events for every non-empty ``(name, samples)`` track.
+
+    Each track is sorted by timestamp first: simulators take samples in
+    event order (e.g. at batch completions, which retries can push past
+    the next dispatch), and :func:`counter_events` rejects out-of-order
+    samples.
+    """
+    events: list[dict] = []
+    for name, samples in tracks:
+        if samples:
+            events.extend(counter_events(
+                name, sorted(samples, key=lambda s: s[0])
+            ))
     return events
 
 

@@ -33,9 +33,10 @@ import numpy as np
 
 from ..config import AcceleratorConfig, DecodeConfig, ModelConfig
 from ..core.cycle_model import ffn_cycle_breakdown
-from ..core.trace import TraceSpan, counter_events, write_span_trace
+from ..core.trace import TraceSpan, time_sorted_counters, write_span_trace
 from ..errors import ServingError
 from ..obs.spans import stream_trace
+from ..telemetry.registry import nearest_rank
 from .cycle_model import decode_step_breakdown, prefill_layer_cycles
 from .kvcache import KVCacheModel
 
@@ -122,14 +123,11 @@ class DecodeResult:
 
     def write_trace(self, path: str) -> int:
         """Write spans + the KV hit-rate counter as Chrome JSON."""
-        counters = []
-        if self.kv_samples:
-            counters.extend(counter_events(
-                "kv_cache_hit_rate",
-                sorted(self.kv_samples, key=lambda s: s[0]),
-            ))
         return write_span_trace(
-            self.spans, path, counters=counters,
+            self.spans, path,
+            counters=time_sorted_counters(
+                [("kv_cache_hit_rate", self.kv_samples)]
+            ),
             other_data={
                 "completed": self.metrics.completed,
                 "tokens_per_s": self.metrics.tokens_per_s,
@@ -161,9 +159,8 @@ def sample_decode_streams(decode: DecodeConfig) -> list[DecodeStream]:
 
 
 def _percentile(values: list, q: float) -> float:
-    if not values:
-        return 0.0
-    return float(np.percentile(np.asarray(values), q))
+    """Nearest-rank percentile, as serving and cluster report it (0.0 if empty)."""
+    return nearest_rank(sorted(values), q) if values else 0.0
 
 
 class _CostModel:

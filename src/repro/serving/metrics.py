@@ -16,13 +16,12 @@ Chrome counter tracks.  The public API is unchanged.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ServingError
-from ..telemetry.registry import MetricsRegistry
+from ..telemetry.registry import MetricsRegistry, nearest_rank
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -31,9 +30,7 @@ def percentile(values: Sequence[float], pct: float) -> float:
         raise ServingError("percentile of an empty sample")
     if not 0 < pct <= 100:
         raise ServingError(f"percentile {pct} outside (0, 100]")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-    return ordered[rank - 1]
+    return nearest_rank(sorted(values), pct)
 
 
 def mean_queue_depth(samples: Sequence[tuple[float, int]]) -> float:

@@ -1,10 +1,13 @@
 """Discrete-event serving simulation over the cycle-accurate models.
 
 :func:`simulate_serving` drives a seeded request workload through the
-admission queue, the dynamic batcher and the worker pool, advancing a
-single event heap (arrivals, device-free times, batching deadlines) and
-charging every batch the cycle costs of the Algorithm 1 schedules plus
-weight-reload accounting.  The run is exactly reproducible from its
+admission queue, the dynamic batcher and the worker pool, charging
+every batch the cycle costs of the Algorithm 1 schedules plus
+weight-reload accounting.  It owns no event loop: the run is a
+one-pool, one-tenant, round-robin fleet on
+:func:`repro.cluster.simulator.run_fleet` (arrivals, batch completions,
+device-free times, batching and expiry deadlines), reduced back to the
+serving result types.  The run is exactly reproducible from its
 :class:`~repro.config.ServingConfig` and emits:
 
 * a :class:`~repro.serving.metrics.ServingMetrics` summary
@@ -27,46 +30,30 @@ its first lost stage, and requests stranded on a dead pool fail.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..config import AcceleratorConfig, ModelConfig, ServingConfig
-from ..core.trace import TraceSpan, counter_events, write_span_trace
+from ..config import (
+    AcceleratorConfig,
+    AutoscalerConfig,
+    ClusterConfig,
+    ModelConfig,
+    PoolConfig,
+    ServingConfig,
+    TenantConfig,
+)
+from ..core.trace import TraceSpan, time_sorted_counters, write_span_trace
 from ..errors import ServingError
-from ..obs.spans import AttemptSpan, request_trace
-from .admission import AdmissionQueue
-from .batching import Batch, BatchCostModel, DynamicBatcher
-from .devices import WorkerPool
+from .batching import Batch, BatchCostModel
 from .metrics import ServingMetrics, compute_metrics
 from .workload import Request, poisson_workload, validate_workload
 
 if TYPE_CHECKING:
     from ..obs.spans import TraceCollector
     from ..telemetry.registry import MetricsRegistry
-
-_ARRIVAL, _DEVICE_FREE, _WAKEUP = 0, 1, 2
-
-
-def attempt_boundary(acc: AcceleratorConfig, outcome) -> Optional[float]:
-    """Where compute ends and the exposed reload stall begins.
-
-    Only attributable for single-span (replicated) dispatches whose
-    span args carry the run/reload cycle split; layer-sharded
-    pipelines interleave stages and return ``None``.
-    """
-    if len(outcome.spans) != 1:
-        return None
-    args = outcome.spans[0].args
-    cycles = args.get("cycles")
-    reload_cycles = args.get("reload_cycles")
-    if cycles is None or reload_cycles is None:
-        return None
-    return outcome.start_us + acc.cycles_to_us(cycles - reload_cycles)
 
 
 @dataclass
@@ -126,20 +113,13 @@ class ServingResult:
         Counter tracks: ``queue_depth`` plus, when batches ran,
         ``sa_utilization`` (per-batch useful-MAC share) and
         ``weight_cache_hit_rate`` (cumulative).  Batch samples land at
-        completion times, which retries can push past the next
-        dispatch, so each track is sorted before export
-        (:func:`counter_events` rejects out-of-order samples).
+        completion times, so each track is time-sorted before export.
         """
-        counters = []
-        for name, samples in (
+        counters = time_sorted_counters([
             ("queue_depth", self.depth_samples),
             ("sa_utilization", self.util_samples),
             ("weight_cache_hit_rate", self.cache_samples),
-        ):
-            if samples:
-                counters.extend(counter_events(
-                    name, sorted(samples, key=lambda s: s[0])
-                ))
+        ])
         return write_span_trace(
             self.spans, path, counters=counters,
             other_data={
@@ -175,6 +155,10 @@ def simulate_serving(
             markers) whose hops sum exactly to its latency.  Strictly
             passive — outputs are bit-identical with or without it.
     """
+    # Lazy import: ``import repro`` stays free of the cluster layer.
+    from ..cluster.pools import PoolRuntime
+    from ..cluster.simulator import run_fleet
+
     serving = ServingConfig() if serving is None else serving
     if serving.max_len > acc.seq_len and workload is None:
         raise ServingError(
@@ -191,264 +175,108 @@ def simulate_serving(
         model, acc, double_buffered_weights=serving.double_buffered_weights,
         compression=serving.compression,
     )
-    queue = AdmissionQueue(serving.queue_capacity, serving.queue_timeout_us)
-    batcher = DynamicBatcher(
-        acc.seq_len, serving.max_batch_requests, serving.max_wait_us
+    fleet = _one_pool_fleet(serving)
+    pool = PoolRuntime(
+        fleet.pools[0], fleet, model, acc.seq_len, cost=cost, track_prefix="",
     )
-    pool = WorkerPool(
-        serving.num_devices, serving.placement, cost, acc,
-        mem=serving.memory,
+    run = run_fleet(
+        fleet, [pool], requests, tracer=tracer,
+        batch_fault_rate=serving.batch_fault_rate,
+        device_failure_rate=serving.device_failure_rate,
+        max_retries=serving.max_retries,
+        # Independent deterministic fault stream: re-running with the
+        # same ServingConfig injects the same faults and failures.
+        fault_rng=np.random.default_rng([serving.seed, 0x5EED]),
     )
-
-    records: dict[int, RequestRecord] = {}
-    batches: list[Batch] = []
-    spans: list[TraceSpan] = []
-    latencies: list[float] = []
-    util_samples: list[tuple] = []
-    cache_samples: list[tuple] = []
-    # Independent deterministic fault stream: re-running with the same
-    # ServingConfig injects the same batch faults and device failures.
-    fault_rng = np.random.default_rng([serving.seed, 0x5EED])
-    retried = 0
-
-    def maybe_fail_device(outcome) -> None:
-        """Draw a fail-stop for the run that just finished."""
-        if serving.device_failure_rate <= 0.0:
-            return
-        if fault_rng.random() < serving.device_failure_rate:
-            victims = outcome.device_ids
-            victim = victims[
-                int(fault_rng.integers(0, len(victims)))
-            ]
-            pool.fail_device(victim, outcome.completion_us)
-            spans.append(TraceSpan(
-                name=f"device{victim}.failure",
-                track="faults",
-                start_us=outcome.completion_us, duration_us=0.0,
-                args={"event": "device_failure", "device": victim},
-            ))
-
-    seq = itertools.count()
-    heap = []
-    for request in requests:
-        heapq.heappush(
-            heap, (request.arrival_us, _ARRIVAL, next(seq), request)
-        )
-    remaining_arrivals = len(requests)
-
-    def attempt(dispatched_us: float, outcome) -> AttemptSpan:
-        """Trace view of one dispatch attempt (tracer-only path)."""
-        return AttemptSpan(
-            dispatched_us, outcome.start_us, outcome.completion_us,
-            attempt_boundary(acc, outcome),
-            attrs={"devices": ",".join(map(str, outcome.device_ids))},
-        )
-
-    def attempt_dispatch(now_us: float) -> None:
-        nonlocal retried
-        while len(queue):
-            if not pool.pool_alive:
-                # Degraded to dead: strand everything still queued.
-                for request in queue.pop_front(len(queue), now_us):
-                    records[request.req_id].status = "failed"
-                    if tracer is not None:
-                        tracer.add(request_trace(
-                            req_id=request.req_id, status="failed",
-                            arrival_us=request.arrival_us, end_us=now_us,
-                            attrs={"reason": "pool_dead"},
-                        ))
-                return
-            if not pool.can_accept(now_us):
-                free_at = pool.next_free_us()
-                heapq.heappush(
-                    heap, (free_at, _DEVICE_FREE, next(seq), None)
-                )
-                return
-            batch = batcher.try_form(
-                queue, now_us, force=(remaining_arrivals == 0)
-            )
-            if batch is None:
-                deadline = min(
-                    batcher.next_deadline_us(queue), queue.next_expiry_us()
-                )
-                if deadline != float("inf"):
-                    heapq.heappush(
-                        heap,
-                        (max(deadline, now_us), _WAKEUP, next(seq), None),
-                    )
-                return
-            outcome = pool.dispatch(batch, now_us)
-            batches.append(batch)
-            spans.extend(outcome.spans)
-            attempts_log = [attempt(now_us, outcome)] \
-                if tracer is not None else []
-            maybe_fail_device(outcome)
-            # Per-batch fault events: with ABFT the checksum syndrome
-            # flags the run at drain and the batch is re-dispatched
-            # (paying full cycles again) up to max_retries times;
-            # without ABFT the fault sails through silently.
-            faulted = (
-                serving.batch_fault_rate > 0.0
-                and fault_rng.random() < serving.batch_fault_rate
-            )
-            attempts = 0
-            while (faulted and acc.abft_protected
-                   and attempts < serving.max_retries
-                   and pool.pool_alive):
-                attempts += 1
-                retried += 1
-                retry_at = outcome.completion_us
-                spans.append(TraceSpan(
-                    name=f"batch{batch.batch_id}.retry{attempts}",
-                    track="faults",
-                    start_us=retry_at, duration_us=0.0,
-                    args={"event": "abft_retry", "attempt": attempts},
-                ))
-                outcome = pool.dispatch(batch, retry_at)
-                spans.extend(outcome.spans)
-                if tracer is not None:
-                    attempts_log.append(attempt(retry_at, outcome))
-                maybe_fail_device(outcome)
-                faulted = fault_rng.random() < serving.batch_fault_rate
-            # Counter-track samples at the batch's final completion:
-            # the batch's useful-MAC share (occupancy-discounted) and
-            # the pool's cumulative weight-cache hit rate.
-            util_samples.append((
-                outcome.completion_us,
-                (cost.ideal_cycles / cost.run_cycles)
-                * (batch.total_tokens / acc.seq_len),
-            ))
-            lookups = pool.weight_cache_hits + pool.weight_cache_misses
-            if lookups:
-                cache_samples.append((
-                    outcome.completion_us,
-                    pool.weight_cache_hits / lookups,
-                ))
-            detected_unrecovered = faulted and acc.abft_protected
-            for request in batch.requests:
-                record = records[request.req_id]
-                record.batch_id = batch.batch_id
-                record.dispatched_us = now_us
-                if detected_unrecovered:
-                    record.status = "failed"
-                    if tracer is not None:
-                        tracer.add(request_trace(
-                            req_id=request.req_id, status="failed",
-                            arrival_us=request.arrival_us,
-                            dispatched_us=now_us,
-                            attempts=tuple(attempts_log),
-                            attrs={"batch": batch.batch_id,
-                                   "reason": "retries_exhausted"},
-                        ))
-                    continue
-                record.status = "completed"
-                record.completed_us = outcome.completion_us
-                record.corrupted = faulted
-                latencies.append(record.latency_us)
-                if tracer is not None:
-                    tracer.add(request_trace(
-                        req_id=request.req_id, status="completed",
-                        arrival_us=request.arrival_us,
-                        dispatched_us=now_us,
-                        attempts=tuple(attempts_log),
-                        attrs={"batch": batch.batch_id,
-                               "corrupted": faulted},
-                    ))
-                wait = now_us - request.arrival_us
-                if wait > 0:
-                    spans.append(TraceSpan(
-                        name=f"req{request.req_id}.wait",
-                        track="queue",
-                        start_us=request.arrival_us, duration_us=wait,
-                        args={"seq_len": request.seq_len,
-                              "batch": batch.batch_id},
-                    ))
-
-    while heap:
-        now_us, kind, _, payload = heapq.heappop(heap)
-        if kind == _ARRIVAL:
-            remaining_arrivals -= 1
-            record = RequestRecord(payload, "rejected")
-            records[payload.req_id] = record
-            if queue.offer(payload, now_us):
-                record.status = "queued"
-                if serving.queue_timeout_us != float("inf"):
-                    heapq.heappush(
-                        heap,
-                        (payload.arrival_us + serving.queue_timeout_us,
-                         _WAKEUP, next(seq), None),
-                    )
-            elif tracer is not None:
-                tracer.add(request_trace(
-                    req_id=payload.req_id, status="rejected",
-                    arrival_us=payload.arrival_us,
-                ))
-        for request in queue.expire(now_us):
-            records[request.req_id].status = "expired"
-            if tracer is not None:
-                tracer.add(request_trace(
-                    req_id=request.req_id, status="expired",
-                    arrival_us=request.arrival_us,
-                    end_us=request.arrival_us + serving.queue_timeout_us,
-                ))
-        attempt_dispatch(now_us)
-
-    if any(r.status == "queued" for r in records.values()):
-        raise ServingError("simulation ended with requests still queued")
-    failed = sum(r.status == "failed" for r in records.values())
-    corrupted = sum(
-        r.corrupted for r in records.values() if r.status == "completed"
-    )
+    records = [
+        RequestRecord(r.request, r.status, r.batch_id, r.dispatched_us,
+                      r.completed_us, r.corrupted)
+        for r in run.records
+    ]
+    by_id = {r.request.req_id: r for r in records}
+    # Latencies in dispatch order: the registry's float sums see the
+    # samples in the order the metrics have always been computed in.
+    latencies = [
+        by_id[request.req_id].latency_us
+        for batch in pool.batches for request in batch.requests
+        if by_id[request.req_id].status == "completed"
+    ]
+    failed = sum(r.status == "failed" for r in records)
+    corrupted = sum(r.corrupted for r in records if r.status == "completed")
 
     first_arrival = requests[0].arrival_us if requests else 0.0
     last_completion = max(
-        (r.completed_us for r in records.values()
-         if r.completed_us is not None),
+        (r.completed_us for r in records if r.completed_us is not None),
         default=first_arrival,
     )
     makespan_us = last_completion - first_arrival
+    workers = pool.workers
     if serving.placement != "replicate":
         run_cycles = cost.compute_cycles
-    elif pool.mem is None:
+    elif workers.mem is None:
         run_cycles = cost.run_cycles
     else:
         # Miss-driven reloads vary per run (warm caches shrink them);
         # charge the mean exposed reload for the utilization ratio.
-        dispatches = sum(d.batches_run for d in pool.devices)
+        dispatches = sum(d.batches_run for d in workers.devices)
         run_cycles = cost.compute_cycles + (
-            pool.reload_stall_cycles // dispatches if dispatches else 0
+            workers.reload_stall_cycles // dispatches if dispatches else 0
         )
     metrics = compute_metrics(
         latencies_us=latencies,
-        batch_sizes=[b.num_requests for b in batches],
-        batch_tokens=[b.total_tokens for b in batches],
+        batch_sizes=[b.num_requests for b in pool.batches],
+        batch_tokens=[b.total_tokens for b in pool.batches],
         seq_len=acc.seq_len,
-        offered=queue.offered,
-        rejected=queue.rejected_full,
-        expired=queue.expired,
+        offered=pool.queue.offered,
+        rejected=pool.queue.rejected_full,
+        expired=pool.queue.expired,
         makespan_us=makespan_us,
-        device_busy_fraction=pool.busy_fraction(makespan_us),
+        device_busy_fraction=workers.busy_fraction(makespan_us),
         ideal_cycles_per_run=cost.ideal_cycles,
         run_cycles=run_cycles,
-        num_devices=pool.num_devices,
-        depth_samples=queue.depth_samples,
+        num_devices=workers.num_devices,
+        depth_samples=pool.queue.depth_samples,
         failed=failed,
-        retried=retried,
+        retried=run.retried,
         corrupted=corrupted,
-        device_failures=pool.device_failures,
-        weight_cache_hits=pool.weight_cache_hits,
-        weight_cache_misses=pool.weight_cache_misses,
-        reload_stall_cycles=pool.reload_stall_cycles,
+        device_failures=workers.device_failures,
+        weight_cache_hits=workers.weight_cache_hits,
+        weight_cache_misses=workers.weight_cache_misses,
+        reload_stall_cycles=workers.reload_stall_cycles,
         registry=registry,
     )
-    ordered = [records[r.req_id] for r in requests]
     return ServingResult(
         serving=serving,
         metrics=metrics,
-        records=ordered,
-        batches=batches,
-        spans=spans,
-        depth_samples=list(queue.depth_samples),
-        util_samples=util_samples,
-        cache_samples=cache_samples,
+        records=records,
+        batches=pool.batches,
+        spans=run.spans,
+        depth_samples=list(pool.queue.depth_samples),
+        util_samples=pool.util_samples,
+        cache_samples=pool.cache_samples,
+    )
+
+
+def _one_pool_fleet(serving: ServingConfig) -> ClusterConfig:
+    """The single-pool, single-tenant fleet a serving run simulates.
+
+    Round-robin routing over one pool and no autoscaler: every arrival
+    goes straight to the pool's queue.  The pool's cost model comes
+    from the caller's accelerator (see
+    :class:`~repro.cluster.pools.PoolRuntime`), so its config only
+    records the device shape and memory system.
+    """
+    return ClusterConfig(
+        pools=(PoolConfig(
+            name="serving", num_devices=serving.num_devices,
+            max_devices=serving.num_devices, placement=serving.placement,
+            memory=serving.memory,
+        ),),
+        tenants=(TenantConfig(name="serving"),),
+        router_policy="round_robin",
+        autoscaler=AutoscalerConfig(enabled=False),
+        queue_capacity=serving.queue_capacity,
+        queue_timeout_us=serving.queue_timeout_us,
+        max_batch_requests=serving.max_batch_requests,
+        max_wait_us=serving.max_wait_us,
     )

@@ -49,6 +49,17 @@ DEFAULT_BUCKETS: tuple[float, ...] = tuple(
 MAX_EXEMPLARS_PER_BUCKET = 4
 
 
+def nearest_rank(ordered: Sequence[float], pct: float) -> float:
+    """Nearest-rank ``pct``-th percentile of an ascending, non-empty sample.
+
+    The smallest value with at least ``pct``% of the sample at or below
+    it, so the result is always an observed value.  The repo's single
+    percentile definition: callers sort, check ``pct`` and decide what
+    an empty sample means.
+    """
+    return ordered[max(1, math.ceil(pct / 100.0 * len(ordered))) - 1]
+
+
 def _label_key(labels: dict) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
@@ -255,9 +266,7 @@ class Histogram(Instrument):
             raise TelemetryError(
                 f"histogram {self.name}: percentile of an empty series"
             )
-        ordered = sorted(series.samples)
-        rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-        return ordered[rank - 1]
+        return nearest_rank(sorted(series.samples), pct)
 
     def cumulative_buckets(
         self, **labels: object

@@ -3,8 +3,9 @@
 Covers the pinned heterogeneous scenario, same-seed reproducibility,
 registry instrumentation, the Chrome-trace export, and the admission
 edge cases under bursty arrivals: a queue timeout landing exactly on
-its deadline, a full queue at the burst peak, and zero-completion runs
-(metrics must stay finite — no division by zero).
+its deadline, arrivals and expiries at a batch-completion instant, a
+full queue at the burst peak, and zero-completion runs (metrics must
+stay finite — no division by zero).
 """
 
 import json
@@ -208,6 +209,22 @@ class TestAdmissionEdgeCases:
         assert first.status == "completed"
         assert second.status == "expired"
         assert result.metrics.expired == 1
+
+    def test_events_at_a_completion_instant(self, model):
+        # A batch completion books its requests but dispatches nothing
+        # itself: an arrival at that exact instant is admitted first and
+        # shares the next batch, and a waiter whose expiry lands on that
+        # instant expires instead of being dispatched.
+        cluster = _edge_cluster(max_batch_requests=8, max_wait_us=0.0)
+        done = build_cost_model(cluster.pools[0], model, 64).run_us()
+        result = simulate_cluster(
+            model, cluster,
+            workload=[_req(0), _req(1, arrival=1.0), _req(2, arrival=done)],
+        )
+        assert [r.dispatched_us for r in result.records] == [0.0, done, done]
+        expiring = _edge_cluster(queue_timeout_us=done)
+        result = simulate_cluster(model, expiring, workload=[_req(0), _req(1)])
+        assert [r.status for r in result.records] == ["completed", "expired"]
 
     def test_queue_full_at_burst_peak_rejects(self, model):
         cluster = _edge_cluster(queue_capacity=2)

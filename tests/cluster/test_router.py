@@ -9,7 +9,6 @@ from repro.config import (
     TenantConfig,
     transformer_base,
 )
-from repro.errors import ServingError
 
 SEQ_LEN = 64
 
@@ -66,14 +65,17 @@ class TestRoundRobin:
         picks = {router.route(_req(i), 0.0).name for i in range(4)}
         assert picks == {"fpga-y", "gpu"}
 
-    def test_all_pools_dead_is_fatal(self, model):
+    def test_all_pools_dead_routes_to_a_dead_pool(self, model):
+        # A dead fleet still routes, so the chosen pool's queue can
+        # strand the request as "failed" (as a dead serving pool does).
         cluster = _cluster("round_robin")
         pools = _pools(cluster, model)
         for pool in pools:
             pool.workers.fail_device(0, 0.0)
         router = Router(cluster, pools)
-        with pytest.raises(ServingError):
-            router.route(_req(), 0.0)
+        picks = [router.route(_req(i), 0.0) for i in range(3)]
+        assert [p.name for p in picks] == ["fpga-x", "fpga-y", "gpu"]
+        assert not any(p.workers.pool_alive for p in picks)
 
 
 class TestLeastQueue:
