@@ -1,11 +1,11 @@
 """Cluster metrics: per-tenant SLO attainment, per-pool accounting.
 
-Registry-backed like :mod:`repro.serving.metrics`: the raw run is
-recorded into ``repro_cluster_*`` instruments
-(:func:`repro.telemetry.instrument.record_cluster` — the single place
-the cluster schema is defined) and the summaries are derived back out,
-so the numbers the report prints are exactly the series a Prometheus /
-JSON / Chrome-trace export carries.
+Like :mod:`repro.serving.metrics`, the summaries are computed from the
+raw run and the same run is recorded into ``repro_cluster_*``
+instruments (:func:`repro.telemetry.instrument.record_cluster` — the
+single place the cluster schema is defined), so the numbers the report
+prints are the series a Prometheus / JSON / Chrome-trace export
+carries.  Nothing is read back out of the registry.
 
 The headline number is **SLO attainment**: the fraction of a tenant's
 *offered* requests that completed within the tenant's ``slo_us``.

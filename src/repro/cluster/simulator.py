@@ -229,21 +229,22 @@ def run_fleet(
     if cluster.autoscaler.enabled:
         push(cluster.autoscaler.interval_us, _SCALER, None)
 
-    def trace(request, status: str, pool: Optional[PoolRuntime],
-              attrs: Optional[dict] = None, **kwargs) -> None:
-        """Hand one request's span tree to the tracer (if any)."""
-        if tracer is None:
-            return
-        if slo:
-            kwargs["tenant"] = request.tenant
-            if pool is not None:
-                attrs = {"pool": pool.name, **(attrs or {})}
-        tracer.add(request_trace(
-            req_id=request.req_id, status=status,
-            arrival_us=request.arrival_us, attrs=attrs, **kwargs,
-        ))
-
-    def observe(now_us: float, request, ok: bool) -> None:
+    def finish(record: FleetRecord, status: str,
+               pool: Optional[PoolRuntime], now_us: float, ok: bool,
+               attrs: Optional[dict] = None, **kwargs) -> None:
+        """Settle one request: its final status, its span tree for the
+        tracer (if any) and its SLO event for the monitor (if any)."""
+        record.status = status
+        request = record.request
+        if tracer is not None:
+            if slo:
+                kwargs["tenant"] = request.tenant
+                if pool is not None:
+                    attrs = {"pool": pool.name, **(attrs or {})}
+            tracer.add(request_trace(
+                req_id=request.req_id, status=status,
+                arrival_us=request.arrival_us, attrs=attrs, **kwargs,
+            ))
         if monitor is not None:
             monitor.observe(now_us, request.tenant, ok)
 
@@ -334,14 +335,11 @@ def run_fleet(
         for request in batch.requests:
             record = records[request.req_id]
             if failed:
-                record.status = "failed"
-                trace(request, "failed", pool,
-                      attrs={"batch": batch.batch_id,
-                             "reason": "retries_exhausted"},
-                      dispatched_us=record.dispatched_us, attempts=attempts)
-                observe(done_us, request, False)
+                finish(record, "failed", pool, done_us, False,
+                       attrs={"batch": batch.batch_id,
+                              "reason": "retries_exhausted"},
+                       dispatched_us=record.dispatched_us, attempts=attempts)
                 continue
-            record.status = "completed"
             record.completed_us = done_us
             record.corrupted = faulted
             pool.observe_completion(
@@ -355,9 +353,9 @@ def run_fleet(
                              slo_violated=not record.attained)
             else:
                 attrs["corrupted"] = faulted
-            trace(request, "completed", pool, attrs=attrs,
-                  dispatched_us=record.dispatched_us, attempts=attempts)
-            observe(done_us, request, record.attained)
+            finish(record, "completed", pool, done_us, record.attained,
+                   attrs=attrs, dispatched_us=record.dispatched_us,
+                   attempts=attempts)
 
     def dispatch(pool: PoolRuntime, now_us: float) -> None:
         queue, workers = pool.queue, pool.workers
@@ -365,10 +363,9 @@ def run_fleet(
             if not workers.pool_alive:
                 # Degraded to dead: strand everything still queued.
                 for request in queue.pop_front(len(queue), now_us):
-                    records[request.req_id].status = "failed"
-                    trace(request, "failed", pool,
-                          attrs={"reason": "pool_dead"}, end_us=now_us)
-                    observe(now_us, request, False)
+                    finish(records[request.req_id], "failed", pool, now_us,
+                           False, attrs={"reason": "pool_dead"},
+                           end_us=now_us)
                 return
             if not workers.can_accept(now_us):
                 push(workers.next_free_us(), _POOL_FREE, pool)
@@ -388,10 +385,8 @@ def run_fleet(
 
     def expire_queue(pool: PoolRuntime, now_us: float) -> None:
         for request in pool.queue.expire(now_us):
-            records[request.req_id].status = "expired"
-            trace(request, "expired", pool,
-                  end_us=request.arrival_us + cluster.queue_timeout_us)
-            observe(now_us, request, False)
+            finish(records[request.req_id], "expired", pool, now_us, False,
+                   end_us=request.arrival_us + cluster.queue_timeout_us)
 
     def run_scaler(now_us: float) -> None:
         for action in scaler.evaluate(now_us):
@@ -416,7 +411,7 @@ def run_fleet(
             push(now_us + cluster.autoscaler.interval_us, _SCALER, None)
 
     def arrive(request, now_us: float) -> None:
-        record = records[request.req_id] = FleetRecord(request, "shed")
+        record = records[request.req_id] = FleetRecord(request, "queued")
         pool = router.route(request, now_us)
         if pool is None:
             spans.append(TraceSpan(
@@ -426,20 +421,15 @@ def run_fleet(
                 args={"tenant": request.tenant,
                       "deadline_us": request.deadline_us},
             ))
-            trace(request, "shed", None)
-            observe(now_us, request, False)
+            finish(record, "shed", None, now_us, False)
         else:
             record.pool = pool.name
             pool.routed += 1
             if not pool.queue.offer(request, now_us):
-                record.status = "rejected"
-                trace(request, "rejected", pool)
-                observe(now_us, request, False)
-            else:
-                record.status = "queued"
-                if cluster.queue_timeout_us != float("inf"):
-                    push(request.arrival_us + cluster.queue_timeout_us,
-                         _WAKEUP, pool)
+                finish(record, "rejected", pool, now_us, False)
+            elif cluster.queue_timeout_us != float("inf"):
+                push(request.arrival_us + cluster.queue_timeout_us,
+                     _WAKEUP, pool)
             expire_queue(pool, now_us)
             dispatch(pool, now_us)
         # The last arrival force-flushes every pool's partial batch.

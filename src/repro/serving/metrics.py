@@ -5,13 +5,12 @@ value with at least ``p%`` of the sample at or below it), so the
 reported p50/p95/p99 are always actual observed latencies and runs are
 exactly reproducible.
 
-Since the telemetry refactor the aggregation is registry-backed:
-:func:`compute_metrics` records the raw run into
-:class:`~repro.telemetry.registry.MetricsRegistry` instruments
-(:func:`record_serving`) and derives the :class:`ServingMetrics`
-summary back out of them (:func:`metrics_from_registry`), so the same
-numbers the summary reports are exportable as Prometheus text / JSON /
-Chrome counter tracks.  The public API is unchanged.
+:func:`compute_metrics` builds the :class:`ServingMetrics` summary from
+the raw run alone.  When the caller passes a
+:class:`~repro.telemetry.registry.MetricsRegistry` the run is also
+recorded into it (:func:`record_serving` plus four run-level gauges),
+so the same numbers are exportable as Prometheus text / JSON / Chrome
+counter tracks; the summary is never read back out of the registry.
 """
 
 from __future__ import annotations
@@ -158,10 +157,10 @@ def record_serving(
 ) -> None:
     """Record one serving run's raw outcomes into ``registry``.
 
-    Defines the serving metric schema in one place; call once per run
-    (counters accumulate across calls, which is what a registry shared
-    by several runs wants, but :func:`metrics_from_registry` then
-    summarizes the union).
+    Defines the serving metric schema in one place.  Counters
+    accumulate across calls, so a registry shared by several runs holds
+    the union of their outcomes; each run's :class:`ServingMetrics`
+    still comes from that run's records alone.
     """
     registry.counter(
         "repro_serving_requests_offered_total",
@@ -227,100 +226,6 @@ def record_serving(
         depth.sample(ts_us, value)
 
 
-def metrics_from_registry(
-    registry: MetricsRegistry,
-    *,
-    seq_len: int,
-    makespan_us: float,
-    device_busy_fraction: float,
-    ideal_cycles_per_run: int,
-    run_cycles: int,
-) -> ServingMetrics:
-    """Summarize the serving instruments of ``registry``.
-
-    The run-level ratios that need simulation context (makespan, busy
-    fraction, cycle counts) come in as arguments and are published back
-    as gauges, so a registry export carries the full summary.
-    """
-    counter = registry.counter
-    offered = int(counter("repro_serving_requests_offered_total").value())
-    outcomes = counter("repro_serving_requests_total")
-    completed = int(outcomes.value(outcome="completed"))
-    rejected = int(outcomes.value(outcome="rejected"))
-    expired = int(outcomes.value(outcome="expired"))
-    failed = int(outcomes.value(outcome="failed"))
-    latency = registry.histogram("repro_serving_latency_us")
-    nan = float("nan")
-    have = latency.count() > 0
-    seconds = makespan_us / 1e6
-    num_batches = int(counter("repro_serving_batches_total").value())
-    total_requests = counter("repro_serving_batch_requests_total").value()
-    total_tokens = counter("repro_serving_batch_tokens_total").value()
-    occupancy = (
-        total_tokens / (num_batches * seq_len) if num_batches else 0.0
-    )
-    # Useful-MAC share: each run streams ideal_cycles_per_run MACs at
-    # full s; occupancy discounts the rows that were padding.
-    sa_util = 0.0
-    if makespan_us > 0 and run_cycles > 0:
-        busy_share = device_busy_fraction
-        sa_util = busy_share * (ideal_cycles_per_run / run_cycles) * occupancy
-    cache = counter("repro_serving_weight_cache_lookups_total")
-    hits = int(cache.value(outcome="hit"))
-    misses = int(cache.value(outcome="miss"))
-    depth_samples = registry.series("repro_serving_queue_depth").samples()
-    gauges = (
-        ("repro_serving_makespan_us", "Run makespan (us)", makespan_us),
-        ("repro_serving_device_busy_fraction",
-         "Busy device-time / total device-time", device_busy_fraction),
-        ("repro_serving_sa_utilization",
-         "Pool-wide useful-MAC utilization", sa_util),
-        ("repro_serving_occupancy",
-         "Valid tokens / (batches x SA rows)", occupancy),
-    )
-    for name, help_text, value in gauges:
-        registry.gauge(name, help_text).set(value)
-    return ServingMetrics(
-        offered=offered,
-        completed=completed,
-        rejected=rejected,
-        expired=expired,
-        rejection_rate=(rejected + expired) / offered if offered else 0.0,
-        latency_p50_us=latency.percentile(50) if have else nan,
-        latency_p95_us=latency.percentile(95) if have else nan,
-        latency_p99_us=latency.percentile(99) if have else nan,
-        latency_mean_us=latency.mean() if have else nan,
-        throughput_rps=completed / seconds if seconds > 0 else 0.0,
-        tokens_per_s=total_tokens / seconds if seconds > 0 else 0.0,
-        makespan_us=makespan_us,
-        num_batches=num_batches,
-        mean_batch_size=(
-            total_requests / num_batches if num_batches else 0.0
-        ),
-        occupancy=occupancy,
-        device_busy_fraction=device_busy_fraction,
-        sa_utilization=sa_util,
-        mean_queue_depth=mean_queue_depth(depth_samples),
-        max_queue_depth=int(max(
-            (d for _, d in depth_samples), default=0
-        )),
-        failed=failed,
-        retried=int(counter("repro_serving_retries_total").value()),
-        corrupted=int(counter("repro_serving_corrupted_total").value()),
-        device_failures=int(
-            counter("repro_serving_device_failures_total").value()
-        ),
-        weight_cache_hits=hits,
-        weight_cache_misses=misses,
-        weight_cache_hit_rate=(
-            hits / (hits + misses) if (hits + misses) else 0.0
-        ),
-        reload_stall_cycles=int(
-            counter("repro_serving_reload_stall_cycles_total").value()
-        ),
-    )
-
-
 def compute_metrics(
     latencies_us: Sequence[float],
     batch_sizes: Sequence[int],
@@ -346,35 +251,93 @@ def compute_metrics(
 ) -> ServingMetrics:
     """Fold raw simulation records into a :class:`ServingMetrics`.
 
-    Registry-backed: the records go through :func:`record_serving` into
-    ``registry`` (a private one when the caller passes none) and the
-    summary is read back with :func:`metrics_from_registry` — so a
-    caller-supplied registry ends the run holding every serving series
-    ready for export.
+    ``latencies_us`` come in dispatch order: the mean is their running
+    sum in that order, as the registry's histogram accumulates it.
+    When ``registry`` is given the run is also recorded into it
+    (:func:`record_serving`) and the run-level ratios that need
+    simulation context are published as gauges, so the export carries
+    the full summary.
     """
-    registry = MetricsRegistry() if registry is None else registry
-    record_serving(
-        registry,
-        latencies_us=latencies_us,
-        batch_sizes=batch_sizes,
-        batch_tokens=batch_tokens,
+    completed = len(latencies_us)
+    p50 = p95 = p99 = mean = float("nan")
+    if completed:
+        ordered = sorted(latencies_us)
+        p50, p95, p99 = (nearest_rank(ordered, p) for p in (50, 95, 99))
+        total = 0.0
+        for value in latencies_us:
+            total += value
+        mean = total / completed
+    seconds = makespan_us / 1e6
+    num_batches = len(batch_sizes)
+    total_tokens = sum(batch_tokens)
+    occupancy = (
+        total_tokens / (num_batches * seq_len) if num_batches else 0.0
+    )
+    # Useful-MAC share: each run streams ideal_cycles_per_run MACs at
+    # full s; occupancy discounts the rows that were padding.
+    sa_util = 0.0
+    if makespan_us > 0 and run_cycles > 0:
+        sa_util = (device_busy_fraction * (ideal_cycles_per_run / run_cycles)
+                   * occupancy)
+    if registry is not None:
+        record_serving(
+            registry,
+            latencies_us=latencies_us,
+            batch_sizes=batch_sizes,
+            batch_tokens=batch_tokens,
+            offered=offered,
+            rejected=rejected,
+            expired=expired,
+            depth_samples=depth_samples,
+            failed=failed,
+            retried=retried,
+            corrupted=corrupted,
+            device_failures=device_failures,
+            weight_cache_hits=weight_cache_hits,
+            weight_cache_misses=weight_cache_misses,
+            reload_stall_cycles=reload_stall_cycles,
+        )
+        for name, help_text, value in (
+            ("repro_serving_makespan_us", "Run makespan (us)", makespan_us),
+            ("repro_serving_device_busy_fraction",
+             "Busy device-time / total device-time", device_busy_fraction),
+            ("repro_serving_sa_utilization",
+             "Pool-wide useful-MAC utilization", sa_util),
+            ("repro_serving_occupancy",
+             "Valid tokens / (batches x SA rows)", occupancy),
+        ):
+            registry.gauge(name, help_text).set(value)
+    lookups = weight_cache_hits + weight_cache_misses
+    return ServingMetrics(
         offered=offered,
+        completed=completed,
         rejected=rejected,
         expired=expired,
-        depth_samples=depth_samples,
+        rejection_rate=(rejected + expired) / offered if offered else 0.0,
+        latency_p50_us=p50,
+        latency_p95_us=p95,
+        latency_p99_us=p99,
+        latency_mean_us=mean,
+        throughput_rps=completed / seconds if seconds > 0 else 0.0,
+        tokens_per_s=total_tokens / seconds if seconds > 0 else 0.0,
+        makespan_us=makespan_us,
+        num_batches=num_batches,
+        mean_batch_size=(
+            sum(batch_sizes) / num_batches if num_batches else 0.0
+        ),
+        occupancy=occupancy,
+        device_busy_fraction=device_busy_fraction,
+        sa_utilization=sa_util,
+        mean_queue_depth=mean_queue_depth(depth_samples),
+        max_queue_depth=max((d for _, d in depth_samples), default=0),
         failed=failed,
         retried=retried,
         corrupted=corrupted,
         device_failures=device_failures,
         weight_cache_hits=weight_cache_hits,
         weight_cache_misses=weight_cache_misses,
+        weight_cache_hit_rate=(
+            weight_cache_hits / lookups if lookups else 0.0
+        ),
         reload_stall_cycles=reload_stall_cycles,
-    )
-    return metrics_from_registry(
-        registry,
-        seq_len=seq_len,
-        makespan_us=makespan_us,
-        device_busy_fraction=device_busy_fraction,
-        ideal_cycles_per_run=ideal_cycles_per_run,
-        run_cycles=run_cycles,
     )

@@ -75,23 +75,12 @@ class RequestRecord:
     dispatched_us: Optional[float] = None
     completed_us: Optional[float] = None
     corrupted: bool = False
-    # Generation extras (left at defaults by the prefill-only
-    # simulator; repro.decode's mixed runs fill them in).
-    decode_tokens: int = 0
-    first_token_us: Optional[float] = None
 
     @property
     def latency_us(self) -> Optional[float]:
         if self.completed_us is None:
             return None
         return self.completed_us - self.request.arrival_us
-
-    @property
-    def ttft_us(self) -> Optional[float]:
-        """Time to first token (prefill completion), when generating."""
-        if self.first_token_us is None:
-            return None
-        return self.first_token_us - self.request.arrival_us
 
 
 @dataclass
@@ -194,7 +183,7 @@ def simulate_serving(
         for r in run.records
     ]
     by_id = {r.request.req_id: r for r in records}
-    # Latencies in dispatch order: the registry's float sums see the
+    # Latencies in dispatch order: the mean's running float sum sees the
     # samples in the order the metrics have always been computed in.
     latencies = [
         by_id[request.req_id].latency_us

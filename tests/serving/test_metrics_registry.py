@@ -1,14 +1,22 @@
-"""Registry-backed serving metrics: equivalence with the plain path."""
+"""Serving metrics and their registry record: one summary, one export."""
 
+import dataclasses
+import hashlib
 import json
+import math
 
 import pytest
 
-from repro.config import ServingConfig, paper_accelerator, transformer_base
+from repro.config import (
+    AcceleratorConfig,
+    ServingConfig,
+    paper_accelerator,
+    transformer_base,
+)
 from repro.memsys import ddr4_2400
 from repro.serving import simulate_serving
 from repro.serving.metrics import compute_metrics, record_serving
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, to_json
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +46,17 @@ class TestSimulatorRegistry:
             model, acc, _serving(), registry=MetricsRegistry()
         )
         assert inst.metrics == plain.metrics
+
+    def test_reused_registry_keeps_each_summary(self, model, acc):
+        # A registry shared by two identical runs holds the union of
+        # their counters, but each run's summary is its own.
+        reg = MetricsRegistry()
+        first = simulate_serving(model, acc, _serving(), registry=reg)
+        second = simulate_serving(model, acc, _serving(), registry=reg)
+        assert second.metrics == first.metrics
+        assert reg.get(
+            "repro_serving_requests_offered_total"
+        ).value() == 120
 
     def test_registry_counters_match_metrics(self, model, acc):
         reg = MetricsRegistry()
@@ -126,3 +145,56 @@ class TestComputeMetricsCompat:
             "repro_serving_requests_offered_total"
         ).value() == 10
         assert reg.get("repro_serving_latency_us").count() == 6
+
+
+#: sha256 of the registry's JSON export plus ``astuple(metrics)``,
+#: recorded while the summary was still read back out of the registry.
+GOLDEN_SHAPES = {
+    # Two devices with ABFT: retries, exhausted budgets, fail-stops.
+    "abft-2x": (
+        True,
+        dict(num_devices=2, batch_fault_rate=0.3, device_failure_rate=0.05,
+             max_retries=3),
+        "913a523ffae3c343f386a591e4fb6cd481faa14665c44133a1e8a2f62b1a604a",
+    ),
+    "replicate-2x-ddr4": (
+        False, dict(num_devices=2, memory=ddr4_2400()),
+        "038d79d5de00b9dc2a9c475f02c17908a2f724f62b15a631ce7bf8c99457465e",
+    ),
+    "layer_shard-3x": (
+        False, dict(num_devices=3, placement="layer_shard"),
+        "acce210c3e9684d6cf3695bf46e4a0251a0f4d4eed0b1058665ecd2b17dda8b5",
+    ),
+    # One queue slot and a 1 us timeout: most arrivals are turned away.
+    "overload-1slot": (
+        False,
+        dict(arrival_rate_rps=5000.0, queue_capacity=1, queue_timeout_us=1.0),
+        "0735456198c9be2288fd708bd7fea974919b6f807cdd0b47a07e67c2838aabf3",
+    ),
+}
+
+
+class TestExportGolden:
+    """The summary and the registry export, pinned byte for byte."""
+
+    @pytest.mark.parametrize("shape", sorted(GOLDEN_SHAPES))
+    def test_export_is_bit_identical(self, model, shape):
+        abft, overrides, expected = GOLDEN_SHAPES[shape]
+        reg = MetricsRegistry()
+        result = simulate_serving(
+            model, AcceleratorConfig(abft_protected=abft),
+            _serving(**overrides), registry=reg,
+        )
+        payload = json.dumps(to_json(reg)) + repr(
+            dataclasses.astuple(result.metrics)
+        )
+        assert hashlib.sha256(payload.encode()).hexdigest() == expected
+
+    def test_nothing_completed_reports_nan_latencies(self):
+        args = dict(TestComputeMetricsCompat.ARGS, latencies_us=[])
+        m = compute_metrics(**args)
+        assert m.completed == 0
+        assert math.isnan(m.latency_p50_us)
+        assert math.isnan(m.latency_p99_us)
+        assert math.isnan(m.latency_mean_us)
+        assert m.throughput_rps == 0.0
