@@ -17,27 +17,22 @@ from .router import Router
 from .scenario import pinned_cluster, pinned_pools, pinned_tenants
 from .simulator import (
     DEFAULT_SEQ_LEN,
-    ClusterRecord,
     ClusterResult,
+    RequestRecord,
     simulate_cluster,
 )
-from .workload import (
-    ClusterRequest,
-    cluster_workload,
-    tenant_workload,
-    validate_cluster_workload,
-)
+from .workload import ClusterRequest, cluster_workload, tenant_workload
 
 __all__ = [
     "DEFAULT_SEQ_LEN",
     "Autoscaler",
     "ClusterMetrics",
-    "ClusterRecord",
     "ClusterRequest",
     "ClusterResult",
     "GpuBatchCostModel",
     "PoolRuntime",
     "PoolSummary",
+    "RequestRecord",
     "Router",
     "ScaleAction",
     "TenantSummary",
@@ -48,5 +43,4 @@ __all__ = [
     "pinned_tenants",
     "simulate_cluster",
     "tenant_workload",
-    "validate_cluster_workload",
 ]

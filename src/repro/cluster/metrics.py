@@ -202,34 +202,11 @@ def compute_cluster_metrics(
 
     ``pool_batches`` maps pool -> ``(num_requests, total_tokens)`` per
     dispatched batch; ``pool_cache`` maps pool -> ``(hits, misses)``.
-    Everything is recorded into ``registry`` (a private one when the
-    caller passes none) through the schema in
-    :func:`repro.telemetry.instrument.record_cluster`, then summarized.
+    When the caller passes a ``registry``, the run is also recorded
+    into it through the schema in
+    :func:`repro.telemetry.instrument.record_cluster`, followed by the
+    summary gauges.
     """
-    registry = MetricsRegistry() if registry is None else registry
-    record_cluster(
-        registry,
-        policy=policy,
-        tenant_offered=tenant_offered,
-        tenant_outcomes=tenant_outcomes,
-        tenant_slo_attained=tenant_slo_attained,
-        tenant_latencies_us=tenant_latencies_us,
-        routing_decisions=routing_decisions,
-        shed=shed,
-        autoscale_actions=autoscale_actions,
-        pool_batches={
-            name: (
-                len(batches),
-                sum(r for r, _ in batches),
-                sum(t for _, t in batches),
-            )
-            for name, batches in pool_batches.items()
-        },
-        pool_cache=pool_cache,
-        pool_depth_samples=pool_depth_samples,
-        pool_device_samples=pool_device_samples,
-    )
-
     tenants: dict[str, TenantSummary] = {}
     for name, offered in tenant_offered.items():
         outcomes = tenant_outcomes[name]
@@ -247,10 +224,6 @@ def compute_cluster_metrics(
             latency_p99_us=p99,
             latency_mean_us=mean,
         )
-        registry.gauge(
-            "repro_cluster_slo_attainment",
-            "SLO-attained fraction of offered requests",
-        ).set(tenants[name].slo_attainment, tenant=name)
 
     ups = {name: 0 for name in routing_decisions}
     downs = {name: 0 for name in routing_decisions}
@@ -291,10 +264,6 @@ def compute_cluster_metrics(
                 (d for _, d in pool_depth_samples[name]), default=0
             ),
         )
-        registry.gauge(
-            "repro_cluster_pool_busy_fraction",
-            "Busy device-time over provisioned device-time",
-        ).set(pools[name].busy_fraction, pool=name)
 
     offered = sum(tenant_offered.values())
     completed = sum(t.completed for t in tenants.values())
@@ -323,15 +292,47 @@ def compute_cluster_metrics(
         tenants=tenants,
         pools=pools,
     )
-    registry.gauge(
-        "repro_cluster_slo_attainment",
-        "SLO-attained fraction of offered requests",
-    ).set(metrics.slo_attainment)
-    registry.gauge(
-        "repro_cluster_throughput_rps",
-        "Completed requests per second of makespan",
-    ).set(metrics.throughput_rps)
-    registry.gauge(
-        "repro_cluster_makespan_us", "Run makespan (us)",
-    ).set(makespan_us)
+    if registry is not None:
+        record_cluster(
+            registry,
+            policy=policy,
+            tenant_offered=tenant_offered,
+            tenant_outcomes=tenant_outcomes,
+            tenant_slo_attained=tenant_slo_attained,
+            tenant_latencies_us=tenant_latencies_us,
+            routing_decisions=routing_decisions,
+            shed=shed,
+            autoscale_actions=autoscale_actions,
+            pool_batches={
+                name: (
+                    len(batches),
+                    sum(r for r, _ in batches),
+                    sum(t for _, t in batches),
+                )
+                for name, batches in pool_batches.items()
+            },
+            pool_cache=pool_cache,
+            pool_depth_samples=pool_depth_samples,
+            pool_device_samples=pool_device_samples,
+        )
+        slo = registry.gauge(
+            "repro_cluster_slo_attainment",
+            "SLO-attained fraction of offered requests",
+        )
+        for name, tenant in tenants.items():
+            slo.set(tenant.slo_attainment, tenant=name)
+        busy = registry.gauge(
+            "repro_cluster_pool_busy_fraction",
+            "Busy device-time over provisioned device-time",
+        )
+        for name, pool in pools.items():
+            busy.set(pool.busy_fraction, pool=name)
+        slo.set(metrics.slo_attainment)
+        registry.gauge(
+            "repro_cluster_throughput_rps",
+            "Completed requests per second of makespan",
+        ).set(metrics.throughput_rps)
+        registry.gauge(
+            "repro_cluster_makespan_us", "Run makespan (us)",
+        ).set(makespan_us)
     return metrics

@@ -46,12 +46,13 @@ from ..config import AcceleratorConfig, ClusterConfig, ModelConfig
 from ..core.trace import TraceSpan, time_sorted_counters, write_span_trace
 from ..errors import ServingError
 from ..obs.spans import AttemptSpan, request_trace
-from ..serving.workload import Request
+from ..serving.simulator import RequestRecord
+from ..serving.workload import Request, validate_workload
 from .autoscaler import Autoscaler, ScaleAction
 from .metrics import OUTCOMES, ClusterMetrics, compute_cluster_metrics
 from .pools import PoolRuntime
 from .router import Router
-from .workload import ClusterRequest, cluster_workload, validate_cluster_workload
+from .workload import ClusterRequest, cluster_workload
 
 if TYPE_CHECKING:
     import numpy as np
@@ -84,36 +85,12 @@ def attempt_boundary(acc: AcceleratorConfig, outcome) -> Optional[float]:
 
 
 @dataclass
-class ClusterRecord:
-    """Final outcome of one request in a cluster run.
-
-    ``status`` is ``"completed"``, ``"shed"`` (refused by the SLO
-    router), ``"rejected"`` (pool queue full) or ``"expired"`` (pool
-    queue timeout).  ``attained`` is True only for completions within
-    the request's tenant SLO.
-    """
-
-    request: ClusterRequest
-    status: str
-    pool: Optional[str] = None
-    dispatched_us: Optional[float] = None
-    completed_us: Optional[float] = None
-    attained: bool = False
-
-    @property
-    def latency_us(self) -> Optional[float]:
-        if self.completed_us is None:
-            return None
-        return self.completed_us - self.request.arrival_us
-
-
-@dataclass
 class ClusterResult:
     """Everything one simulated cluster run produced."""
 
     cluster: ClusterConfig
     metrics: ClusterMetrics
-    records: list[ClusterRecord]
+    records: list[RequestRecord]
     actions: list[ScaleAction]
     spans: list[TraceSpan] = field(default_factory=list)
     depth_samples: dict[str, list[tuple]] = field(default_factory=dict)
@@ -151,33 +128,22 @@ class ClusterResult:
 
 
 @dataclass
-class FleetRecord:
-    """One request's outcome inside :func:`run_fleet`.
+class FleetRun:
+    """What :func:`run_fleet` leaves besides the pools' own state.
 
-    The union of what cluster records (``pool``, ``attained``) and
-    serving records (``batch_id``, ``corrupted``) report.
+    ``makespan_us`` runs from the first arrival to
+    ``last_completion_us``, the last completion (the first arrival
+    itself when nothing completed).
     """
 
-    request: Request
-    status: str
-    pool: Optional[str] = None
-    batch_id: Optional[int] = None
-    dispatched_us: Optional[float] = None
-    completed_us: Optional[float] = None
-    corrupted: bool = False
-    attained: bool = False
-
-
-@dataclass
-class FleetRun:
-    """What :func:`run_fleet` leaves besides the pools' own state."""
-
-    records: list[FleetRecord]
+    records: list[RequestRecord]
     spans: list[TraceSpan]
     device_samples: dict[str, list[tuple]]
     router: Router
     actions: list[ScaleAction]
     retried: int
+    last_completion_us: float
+    makespan_us: float
 
 
 def run_fleet(
@@ -192,7 +158,11 @@ def run_fleet(
     max_retries: int = 0,
     fault_rng: Optional["np.random.Generator"] = None,
 ) -> FleetRun:
-    """Run time-sorted ``requests`` through the fleet's event loop.
+    """Run ``requests`` through the fleet's event loop.
+
+    The requests must pass
+    :func:`~repro.serving.workload.validate_workload`: time-sorted,
+    with dense ids, so a request's id indexes its record.
 
     ``cluster`` supplies the router policy, autoscaler, queue timeout
     and EWMA smoothing (the pools hold the rest).  When the requests
@@ -210,7 +180,7 @@ def run_fleet(
     if monitor is not None and cluster.autoscaler.scale_up_burn_rate is not None:
         scaler.attach_burn_source(monitor.max_short_burn)
 
-    records: dict[int, FleetRecord] = {}
+    records: list[RequestRecord] = []
     spans: list[TraceSpan] = []
     device_samples: dict[str, list[tuple]] = {
         p.name: [(0.0, p.active_device_count)] for p in pools
@@ -229,7 +199,7 @@ def run_fleet(
     if cluster.autoscaler.enabled:
         push(cluster.autoscaler.interval_us, _SCALER, None)
 
-    def finish(record: FleetRecord, status: str,
+    def finish(record: RequestRecord, status: str,
                pool: Optional[PoolRuntime], now_us: float, ok: bool,
                attrs: Optional[dict] = None, **kwargs) -> None:
         """Settle one request: its final status, its span tree for the
@@ -411,7 +381,8 @@ def run_fleet(
             push(now_us + cluster.autoscaler.interval_us, _SCALER, None)
 
     def arrive(request, now_us: float) -> None:
-        record = records[request.req_id] = FleetRecord(request, "queued")
+        record = RequestRecord(request, "queued")
+        records.append(record)
         pool = router.route(request, now_us)
         if pool is None:
             spans.append(TraceSpan(
@@ -451,15 +422,22 @@ def run_fleet(
         else:
             run_scaler(now_us)
 
-    if any(r.status == "queued" for r in records.values()):
+    if any(r.status == "queued" for r in records):
         raise ServingError("fleet run ended with requests still queued")
+    first_arrival = requests[0].arrival_us if requests else 0.0
+    last_completion = max(
+        (r.completed_us for r in records if r.completed_us is not None),
+        default=first_arrival,
+    )
     return FleetRun(
-        records=[records[r.req_id] for r in requests],
+        records=records,
         spans=spans,
         device_samples=device_samples,
         router=router,
         actions=list(scaler.actions),
         retried=retried,
+        last_completion_us=last_completion,
+        makespan_us=last_completion - first_arrival,
     )
 
 
@@ -495,7 +473,7 @@ def simulate_cluster(
         list(workload) if workload is not None
         else cluster_workload(cluster)
     )
-    validate_cluster_workload(requests, seq_len)
+    validate_workload(requests, seq_len)
     known_tenants = {t.name for t in cluster.tenants}
     for request in requests:
         if request.tenant not in known_tenants:
@@ -509,18 +487,7 @@ def simulate_cluster(
         for pool_cfg in cluster.pools
     ]
     run = run_fleet(cluster, pools, requests, tracer=tracer, monitor=monitor)
-    records = [
-        ClusterRecord(r.request, r.status, r.pool, r.dispatched_us,
-                      r.completed_us, r.attained)
-        for r in run.records
-    ]
-
-    first_arrival = requests[0].arrival_us if requests else 0.0
-    last_completion = max(
-        (r.completed_us for r in records if r.completed_us is not None),
-        default=first_arrival,
-    )
-    makespan_us = last_completion - first_arrival
+    last_completion = run.last_completion_us
 
     tenant_names = [t.name for t in cluster.tenants]
     tenant_offered = dict.fromkeys(tenant_names, 0)
@@ -531,7 +498,7 @@ def simulate_cluster(
     tenant_latencies: dict[str, list[float]] = {
         name: [] for name in tenant_names
     }
-    for record in records:
+    for record in run.records:
         tenant = record.request.tenant
         tenant_offered[tenant] += 1
         tenant_outcomes[tenant][record.status] += 1
@@ -575,13 +542,13 @@ def simulate_cluster(
         },
         pool_final_devices={p.name: p.active_device_count for p in pools},
         seq_len=seq_len,
-        makespan_us=makespan_us,
+        makespan_us=run.makespan_us,
         registry=registry,
     )
     return ClusterResult(
         cluster=cluster,
         metrics=metrics,
-        records=records,
+        records=run.records,
         actions=run.actions,
         spans=run.spans,
         depth_samples={

@@ -999,9 +999,6 @@ class ServingConfig:
         placement: ``"replicate"`` (every device holds the full model,
             paying per-block weight reloads) or ``"layer_shard"`` (layers
             pipelined across devices with resident weights).
-        double_buffered_weights: Hide reloads behind the previous
-            block's compute (second weight-memory bank), as in
-            :class:`~repro.core.model_runner.AcceleratedStack`.
         batch_fault_rate: Per-batch probability that a soft error
             strikes the datapath during the run.  With ABFT on the
             accelerator (``AcceleratorConfig.abft_protected``) the
@@ -1043,7 +1040,6 @@ class ServingConfig:
     max_wait_us: float = 500.0
     num_devices: int = 1
     placement: str = "replicate"
-    double_buffered_weights: bool = False
     batch_fault_rate: float = 0.0
     device_failure_rate: float = 0.0
     max_retries: int = 1
@@ -1070,32 +1066,39 @@ class ServingConfig:
                 f"need 0 < min_len <= max_len, got [{self.min_len}, "
                 f"{self.max_len}]"
             )
-        if self.queue_capacity <= 0:
-            raise ConfigError("queue_capacity must be positive")
-        if self.queue_timeout_us <= 0:
-            raise ConfigError("queue_timeout_us must be positive")
-        if self.max_batch_requests <= 0:
-            raise ConfigError("max_batch_requests must be positive")
-        if self.max_wait_us < 0:
-            raise ConfigError("max_wait_us must be non-negative")
-        if self.num_devices <= 0:
-            raise ConfigError("num_devices must be positive")
-        if self.placement not in ("replicate", "layer_shard"):
-            raise ConfigError(
-                f"placement {self.placement!r} is not 'replicate' or "
-                "'layer_shard'"
-            )
         for name in ("batch_fault_rate", "device_failure_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {rate}")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be non-negative")
-        if self.memory is not None and not isinstance(self.memory, MemoryConfig):
-            raise ConfigError("memory must be a MemoryConfig (or None)")
-        if self.compression is not None and not isinstance(
-                self.compression, CompressionSpec):
-            raise ConfigError("compression must be a CompressionSpec (or None)")
+        # Queue, batching, device, placement, memory and compression
+        # checks are the fleet configs' own.
+        self.fleet()
+
+    def fleet(self) -> ClusterConfig:
+        """The single-pool, single-tenant fleet a serving run simulates.
+
+        Round-robin routing over one pool and no autoscaler: every
+        arrival goes straight to the pool's queue.  The pool's cost
+        model comes from the serving run's accelerator (see
+        :class:`~repro.cluster.pools.PoolRuntime`), so its config only
+        records the device shape, memory system and compression.
+        """
+        return ClusterConfig(
+            pools=(PoolConfig(
+                name="serving", num_devices=self.num_devices,
+                max_devices=self.num_devices, placement=self.placement,
+                memory=self.memory, compression=self.compression,
+            ),),
+            tenants=(TenantConfig(name="serving"),),
+            router_policy="round_robin",
+            autoscaler=AutoscalerConfig(enabled=False),
+            queue_capacity=self.queue_capacity,
+            queue_timeout_us=self.queue_timeout_us,
+            max_batch_requests=self.max_batch_requests,
+            max_wait_us=self.max_wait_us,
+        )
 
     def with_updates(self, **changes: object) -> ServingConfig:
         """Return a copy of this config with the given fields replaced."""

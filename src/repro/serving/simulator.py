@@ -36,15 +36,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..config import (
-    AcceleratorConfig,
-    AutoscalerConfig,
-    ClusterConfig,
-    ModelConfig,
-    PoolConfig,
-    ServingConfig,
-    TenantConfig,
-)
+from ..config import AcceleratorConfig, ModelConfig, ServingConfig
 from ..core.trace import TraceSpan, time_sorted_counters, write_span_trace
 from ..errors import ServingError
 from .batching import Batch, BatchCostModel
@@ -58,15 +50,17 @@ if TYPE_CHECKING:
 
 @dataclass
 class RequestRecord:
-    """Final outcome of one request.
+    """Final outcome of one request, in a serving or a cluster run.
 
-    ``status`` is ``"completed"``, ``"rejected"`` (queue full on
-    arrival), ``"expired"`` (timed out while queued) or ``"failed"``
-    (the batch kept faulting past the retry budget, or the request was
-    stranded when the worker pool died).  A completed request whose
-    batch took an *undetected* fault additionally carries
-    ``corrupted=True`` — the silent-corruption outcome ABFT exists to
-    prevent.
+    ``status`` is ``"completed"``, ``"shed"`` (refused by the cluster's
+    SLO router), ``"rejected"`` (queue full on arrival), ``"expired"``
+    (timed out while queued) or ``"failed"`` (the batch kept faulting
+    past the retry budget, or the request was stranded when its worker
+    pool died).  A completed request whose batch took an *undetected*
+    fault additionally carries ``corrupted=True`` — the
+    silent-corruption outcome ABFT exists to prevent.  ``pool`` names
+    the pool the router picked; ``attained`` is True only for
+    completions within the request's tenant SLO (cluster runs).
     """
 
     request: Request
@@ -75,6 +69,8 @@ class RequestRecord:
     dispatched_us: Optional[float] = None
     completed_us: Optional[float] = None
     corrupted: bool = False
+    pool: Optional[str] = None
+    attained: bool = False
 
     @property
     def latency_us(self) -> Optional[float]:
@@ -160,11 +156,8 @@ def simulate_serving(
     )
     validate_workload(requests, acc.seq_len)
 
-    cost = BatchCostModel(
-        model, acc, double_buffered_weights=serving.double_buffered_weights,
-        compression=serving.compression,
-    )
-    fleet = _one_pool_fleet(serving)
+    cost = BatchCostModel(model, acc, compression=serving.compression)
+    fleet = serving.fleet()
     pool = PoolRuntime(
         fleet.pools[0], fleet, model, acc.seq_len, cost=cost, track_prefix="",
     )
@@ -177,28 +170,17 @@ def simulate_serving(
         # same ServingConfig injects the same faults and failures.
         fault_rng=np.random.default_rng([serving.seed, 0x5EED]),
     )
-    records = [
-        RequestRecord(r.request, r.status, r.batch_id, r.dispatched_us,
-                      r.completed_us, r.corrupted)
-        for r in run.records
-    ]
-    by_id = {r.request.req_id: r for r in records}
+    records = run.records
     # Latencies in dispatch order: the mean's running float sum sees the
     # samples in the order the metrics have always been computed in.
+    # Validated ids are dense, so a record's id is its index.
     latencies = [
-        by_id[request.req_id].latency_us
+        records[request.req_id].latency_us
         for batch in pool.batches for request in batch.requests
-        if by_id[request.req_id].status == "completed"
+        if records[request.req_id].status == "completed"
     ]
     failed = sum(r.status == "failed" for r in records)
     corrupted = sum(r.corrupted for r in records if r.status == "completed")
-
-    first_arrival = requests[0].arrival_us if requests else 0.0
-    last_completion = max(
-        (r.completed_us for r in records if r.completed_us is not None),
-        default=first_arrival,
-    )
-    makespan_us = last_completion - first_arrival
     workers = pool.workers
     if serving.placement != "replicate":
         run_cycles = cost.compute_cycles
@@ -219,8 +201,8 @@ def simulate_serving(
         offered=pool.queue.offered,
         rejected=pool.queue.rejected_full,
         expired=pool.queue.expired,
-        makespan_us=makespan_us,
-        device_busy_fraction=workers.busy_fraction(makespan_us),
+        makespan_us=run.makespan_us,
+        device_busy_fraction=workers.busy_fraction(run.makespan_us),
         ideal_cycles_per_run=cost.ideal_cycles,
         run_cycles=run_cycles,
         num_devices=workers.num_devices,
@@ -243,29 +225,4 @@ def simulate_serving(
         depth_samples=list(pool.queue.depth_samples),
         util_samples=pool.util_samples,
         cache_samples=pool.cache_samples,
-    )
-
-
-def _one_pool_fleet(serving: ServingConfig) -> ClusterConfig:
-    """The single-pool, single-tenant fleet a serving run simulates.
-
-    Round-robin routing over one pool and no autoscaler: every arrival
-    goes straight to the pool's queue.  The pool's cost model comes
-    from the caller's accelerator (see
-    :class:`~repro.cluster.pools.PoolRuntime`), so its config only
-    records the device shape and memory system.
-    """
-    return ClusterConfig(
-        pools=(PoolConfig(
-            name="serving", num_devices=serving.num_devices,
-            max_devices=serving.num_devices, placement=serving.placement,
-            memory=serving.memory,
-        ),),
-        tenants=(TenantConfig(name="serving"),),
-        router_policy="round_robin",
-        autoscaler=AutoscalerConfig(enabled=False),
-        queue_capacity=serving.queue_capacity,
-        queue_timeout_us=serving.queue_timeout_us,
-        max_batch_requests=serving.max_batch_requests,
-        max_wait_us=serving.max_wait_us,
     )

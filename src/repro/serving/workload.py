@@ -96,10 +96,19 @@ def trace_workload(entries: Sequence[tuple[float, int]]) -> list[Request]:
 def validate_workload(
     requests: Sequence[Request], max_seq_len: int
 ) -> None:
-    """Check every request fits the accelerator's SA rows."""
-    for request in requests:
-        if request.seq_len > max_seq_len:
+    """Check ids are dense, times sorted, and lengths fit the SA rows."""
+    prev = 0.0
+    for i, request in enumerate(requests):
+        if request.req_id != i:
+            raise ServingError(f"workload ids are not dense at position {i}")
+        if request.arrival_us < prev:
             raise ServingError(
-                f"request {request.req_id} has seq_len {request.seq_len} "
-                f"> SA rows {max_seq_len}"
+                f"request {i} arrives at {request.arrival_us} before "
+                f"its predecessor at {prev}"
             )
+        if not 0 < request.seq_len <= max_seq_len:
+            raise ServingError(
+                f"request {i} has seq_len {request.seq_len} outside "
+                f"(0, {max_seq_len}]"
+            )
+        prev = request.arrival_us

@@ -136,6 +136,9 @@ class TestServingConfigValidation:
         {"max_wait_us": -1.0},
         {"num_devices": 0},
         {"placement": "mesh"},
+        {"batch_fault_rate": 1.5},
+        {"device_failure_rate": -0.1},
+        {"max_retries": -1},
     ])
     def test_rejects_bad_values(self, overrides):
         from repro.errors import ConfigError

@@ -19,8 +19,9 @@ from repro.config import (
 )
 from repro.errors import ServingError
 from repro.serving import (
-    WorkerPool,
     BatchCostModel,
+    Request,
+    WorkerPool,
     percentile,
     simulate_serving,
     trace_workload,
@@ -202,6 +203,15 @@ class TestExplicitWorkload:
 
     def test_rejects_oversized_request(self, model, acc):
         workload = trace_workload([(0.0, 100)])
+        with pytest.raises(ServingError):
+            simulate_serving(model, acc, _serving(), workload=workload)
+
+    @pytest.mark.parametrize("workload", [
+        [Request(0, 0.0, 16), Request(0, 10.0, 16)],    # duplicate id
+        [Request(0, 500.0, 16), Request(1, 10.0, 16)],  # unsorted
+        [Request(0, 0.0, 16), Request(1, 10.0, -5)],    # negative length
+    ])
+    def test_rejects_malformed_workload(self, model, acc, workload):
         with pytest.raises(ServingError):
             simulate_serving(model, acc, _serving(), workload=workload)
 

@@ -4,7 +4,21 @@ import pytest
 
 from repro.config import ServingConfig
 from repro.errors import ServingError
-from repro.serving import poisson_workload, trace_workload, validate_workload
+from repro.serving import (
+    Request,
+    poisson_workload,
+    trace_workload,
+    validate_workload,
+)
+
+#: Explicit workloads the simulators must refuse: each one used to run
+#: and report wrong results (a lost outcome, a makespan measured from
+#: the wrong request, a negative token throughput).
+MALFORMED = {
+    "duplicate-id": [Request(0, 0.0, 16), Request(0, 10.0, 16)],
+    "unsorted": [Request(0, 500.0, 16), Request(1, 10.0, 16)],
+    "negative-len": [Request(0, 0.0, 16), Request(1, 10.0, -5)],
+}
 
 
 class TestPoissonWorkload:
@@ -74,3 +88,8 @@ class TestValidateWorkload:
         with pytest.raises(ServingError):
             validate_workload(requests, 64)
         validate_workload(requests, 128)
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED))
+    def test_rejects_malformed(self, shape):
+        with pytest.raises(ServingError):
+            validate_workload(MALFORMED[shape], 64)
