@@ -188,8 +188,6 @@ class AcceleratorConfig:
         seq_len: SA row count ``s`` (and max sequence length processed).
         sa_cols: SA column count (64, equal to the head dimension).
         clock_mhz: Target clock frequency (paper: 200 MHz).
-        sa_fill_cycles: Cycles to fill the SA input skew at the start of a
-            pass before the first column of products appears.
         sa_drain_cycles: Cycles to drain outputs after the last input column.
         weight_load_cycles: Non-overlapped cycles to load a 64-column weight
             tile into the SA between passes (0 = fully double buffered).
@@ -235,7 +233,6 @@ class AcceleratorConfig:
     seq_len: int = 64
     sa_cols: int = SA_COLS
     clock_mhz: float = 200.0
-    sa_fill_cycles: int = 64
     sa_drain_cycles: int = 16
     weight_load_cycles: int = 0
     pass_issue_cycles: int = 2
@@ -260,9 +257,9 @@ class AcceleratorConfig:
         if self.clock_mhz <= 0:
             raise ConfigError("clock_mhz must be positive")
         names = (
-            "sa_fill_cycles", "sa_drain_cycles", "weight_load_cycles",
-            "pass_issue_cycles", "softmax_pipeline_depth",
-            "layernorm_pipeline_depth", "abft_check_cycles",
+            "sa_drain_cycles", "weight_load_cycles", "pass_issue_cycles",
+            "softmax_pipeline_depth", "layernorm_pipeline_depth",
+            "abft_check_cycles",
         )
         for field_name in names:
             if getattr(self, field_name) < 0:
@@ -964,11 +961,6 @@ class ClusterConfig:
             raise ConfigError("ewma_alpha must lie in (0, 1]")
         if self.fairness_window_us <= 0:
             raise ConfigError("fairness_window_us must be positive")
-
-    @property
-    def device_budget(self) -> int:
-        """Total ``max_devices`` across pools — the capacity budget."""
-        return sum(p.max_devices for p in self.pools)
 
     def with_updates(self, **changes: object) -> ClusterConfig:
         """Return a copy of this config with the given fields replaced."""

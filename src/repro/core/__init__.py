@@ -32,7 +32,6 @@ from .deployment import (
     ImageFFNBlock,
     ImageMHABlock,
     export_image,
-    image_bytes,
     load_image,
     save_image,
 )
@@ -88,8 +87,6 @@ from .resource_model import (
 from .scheduler import (
     ScheduleResult,
     TimelineEvent,
-    schedule_autoregressive,
-    schedule_encoder_layer,
     schedule_ffn,
     schedule_mha,
     schedule_model,
@@ -102,7 +99,6 @@ from .systolic_array import (
     ScalarSystolicArray,
     SystolicArray,
     expected_pass_cycles,
-    tiled_matmul,
 )
 from .trace import (
     TraceSpan,
@@ -175,7 +171,6 @@ __all__ = [
     "estimate_weight_memory",
     "expected_pass_cycles",
     "export_image",
-    "image_bytes",
     "load_image",
     "ffn_cycle_breakdown",
     "ffn_reload_cycles",
@@ -194,15 +189,12 @@ __all__ = [
     "qkt_multiply_ratio_exact",
     "reassemble_columns",
     "save_image",
-    "schedule_autoregressive",
-    "schedule_encoder_layer",
     "schedule_energy",
     "schedule_ffn",
     "schedule_mha",
     "schedule_model",
     "schedule_to_trace_events",
     "spans_to_trace_events",
-    "tiled_matmul",
     "utilization_fractions",
     "write_span_trace",
     "write_trace",

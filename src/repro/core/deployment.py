@@ -229,8 +229,3 @@ def load_image(path: PathLike) -> dict[str, list]:
                 blocks.append(ImageMHABlock(prefix, data))
         stacks[attr] = blocks
     return stacks
-
-
-def image_bytes(image: dict[str, np.ndarray]) -> int:
-    """Total payload size of an (uncompressed) image in bytes."""
-    return int(sum(np.asarray(v).nbytes for v in image.values()))

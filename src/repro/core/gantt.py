@@ -76,8 +76,3 @@ def render_gantt(
             f"utilization {result.sa_utilization:.1%})"
         )
     return "\n".join(lines)
-
-
-def gantt_lines(result: ScheduleResult, width: int = 100) -> list[str]:
-    """The rendering as a list of lines (testing convenience)."""
-    return render_gantt(result, width=width).splitlines()

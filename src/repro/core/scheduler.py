@@ -427,49 +427,6 @@ def schedule_ffn(
     return result
 
 
-def schedule_encoder_layer(
-    model: ModelConfig,
-    acc: AcceleratorConfig,
-    mem: Optional[MemoryConfig] = None,
-) -> int:
-    """Total cycles of one encoder layer (MHA then FFN, sequential)."""
-    return (
-        schedule_mha(model, acc, mem).total_cycles
-        + schedule_ffn(model, acc, mem).total_cycles
-    )
-
-
-def schedule_autoregressive(
-    model: ModelConfig,
-    acc: AcceleratorConfig,
-    generated_tokens: int,
-    mem: Optional[MemoryConfig] = None,
-) -> dict:
-    """Cycle budget for autoregressive generation on the accelerator.
-
-    The SA always processes its full ``s`` rows (shorter prefixes are
-    zero-padded — the design has no early-exit path), so every generated
-    token re-runs the whole decoder stack at full cost: the encoder runs
-    once, then ``generated_tokens`` decoder-stack passes.  This quantifies
-    the batch-1/fixed-s design's cost for generation workloads, the
-    regime the paper leaves to future work.
-    """
-    if generated_tokens <= 0:
-        raise ScheduleError("generated_tokens must be positive")
-    mha = schedule_mha(model, acc, mem).total_cycles
-    ffn = schedule_ffn(model, acc, mem).total_cycles
-    encoder = model.num_encoder_layers * (mha + ffn)
-    decoder_step = model.num_decoder_layers * (2 * mha + ffn)
-    total = encoder + generated_tokens * decoder_step
-    return {
-        "encoder_cycles": encoder,
-        "decoder_cycles_per_token": decoder_step,
-        "generated_tokens": generated_tokens,
-        "total_cycles": total,
-        "cycles_per_token": total / generated_tokens,
-    }
-
-
 def schedule_model(
     model: ModelConfig,
     acc: AcceleratorConfig,

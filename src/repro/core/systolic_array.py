@@ -321,34 +321,3 @@ class ScalarSystolicArray:
             useful_macs=useful,
             utilization=useful / (compute_cycles * self.rows * self.cols),
         )
-
-
-def tiled_matmul(
-    sa: SystolicArray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Multiply arbitrary integer matrices by tiling passes over ``sa``.
-
-    Splits ``b`` into 64-column tiles (and ``a`` into row chunks if taller
-    than the array) and sums the per-pass cycle counts.  Returns
-    ``(product, total_compute_cycles)``.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"bad GEMM shapes {a.shape} @ {b.shape}")
-    rows_total, k = a.shape
-    n_total = b.shape[1]
-    product = np.zeros((rows_total, n_total), dtype=np.int64)
-    cycles = 0
-    for r0 in range(0, rows_total, sa.rows):
-        r1 = min(r0 + sa.rows, rows_total)
-        a_chunk = a[r0:r1]
-        if a_chunk.shape[0] < sa.rows:
-            pad = sa.rows - a_chunk.shape[0]
-            a_chunk = np.pad(a_chunk, ((0, pad), (0, 0)))
-        for c0 in range(0, n_total, sa.cols):
-            c1 = min(c0 + sa.cols, n_total)
-            result = sa.run_pass(a_chunk, b[:, c0:c1])
-            product[r0:r1, c0:c1] = result.product[: r1 - r0]
-            cycles += result.compute_cycles
-    return product, cycles

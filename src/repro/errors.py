@@ -49,7 +49,7 @@ class ReliabilityError(ReproError):
 
 
 class DecodingError(ReproError):
-    """Sequence decoding (greedy/beam) could not proceed."""
+    """Greedy sequence decoding could not proceed."""
 
 
 class TrainingError(ReproError):

@@ -4,7 +4,8 @@ Public API:
 
 * :class:`QFormat` and the stock formats (:data:`INT8`, :data:`ACC32`,
   :data:`SOFTMAX_Q`, :data:`LAYERNORM_Q`).
-* Saturating/shift primitives in :mod:`repro.fixedpoint.ops`.
+* Rounding-shift, shift-add and leading-one primitives in
+  :mod:`repro.fixedpoint.ops`.
 * The multiplier-free :class:`ExpUnit` / :class:`LnUnit` (softmax module)
   and the :class:`InverseSqrtLUT` (LayerNorm module).
 """
@@ -16,16 +17,10 @@ from .ln_unit import LnUnit
 from .ops import (
     LN2_TERMS,
     LOG2E_TERMS,
-    arith_shift_right,
-    clz_width,
     leading_one_position,
     rounding_shift_right,
-    sat_add,
-    sat_mul,
-    sat_sub,
     shift_add_constant,
     shift_add_multiply,
-    shift_left,
 )
 from .types import ACC32, INT8, LAYERNORM_Q, SOFTMAX_Q, QFormat
 
@@ -41,14 +36,8 @@ __all__ = [
     "LnUnit",
     "QFormat",
     "SOFTMAX_Q",
-    "arith_shift_right",
-    "clz_width",
     "leading_one_position",
     "rounding_shift_right",
-    "sat_add",
-    "sat_mul",
-    "sat_sub",
     "shift_add_constant",
     "shift_add_multiply",
-    "shift_left",
 ]

@@ -1,9 +1,8 @@
 """Bit-accurate integer operations used throughout the datapath models.
 
-These helpers mirror what simple hardware blocks do: saturating adds and
-multiplies at a given width, arithmetic right shifts (the paper's ``>>3``
-scaled-softmax stage), rounding shifts for requantization, and the shift-add
-constant multiplications the EXP/LN units use instead of real multipliers.
+These helpers mirror what simple hardware blocks do: rounding shifts for
+requantization, the shift-add constant multiplications the EXP/LN units
+use instead of real multipliers, and the LN unit's leading-one detector.
 All functions are vectorized over numpy int64 arrays.
 """
 
@@ -15,7 +14,6 @@ from typing import Union
 import numpy as np
 
 from ..errors import FixedPointError
-from .types import QFormat
 
 IntArray = Union[int, np.ndarray]
 
@@ -27,32 +25,6 @@ def _as_int64(value: IntArray) -> np.ndarray:
             f"integer op received non-integer dtype {arr.dtype}"
         )
     return arr.astype(np.int64)
-
-
-def sat_add(a: IntArray, b: IntArray, fmt: QFormat) -> np.ndarray:
-    """Saturating addition at the width of ``fmt``."""
-    return fmt.saturate(_as_int64(a) + _as_int64(b))
-
-
-def sat_sub(a: IntArray, b: IntArray, fmt: QFormat) -> np.ndarray:
-    """Saturating subtraction at the width of ``fmt``."""
-    return fmt.saturate(_as_int64(a) - _as_int64(b))
-
-
-def sat_mul(a: IntArray, b: IntArray, fmt: QFormat) -> np.ndarray:
-    """Saturating multiplication at the width of ``fmt``."""
-    return fmt.saturate(_as_int64(a) * _as_int64(b))
-
-
-def arith_shift_right(value: IntArray, bits: int) -> np.ndarray:
-    """Arithmetic (sign-extending, floor) right shift by ``bits``.
-
-    This is the paper's scaling stage: dividing the attention logits by
-    ``sqrt(d_k) = 8`` becomes ``>> 3`` (Fig. 6).
-    """
-    if bits < 0:
-        raise FixedPointError("shift amount must be non-negative")
-    return _as_int64(value) >> bits
 
 
 def rounding_shift_right(value: IntArray, bits: int) -> np.ndarray:
@@ -67,13 +39,6 @@ def rounding_shift_right(value: IntArray, bits: int) -> np.ndarray:
         return _as_int64(value)
     arr = _as_int64(value)
     return (arr + (1 << (bits - 1))) >> bits
-
-
-def shift_left(value: IntArray, bits: int) -> np.ndarray:
-    """Left shift (no saturation; widen before calling if needed)."""
-    if bits < 0:
-        raise FixedPointError("shift amount must be non-negative")
-    return _as_int64(value) << bits
 
 
 def shift_add_multiply(
@@ -137,11 +102,3 @@ def leading_one_position(value: IntArray) -> np.ndarray:
         pos = np.where(high, pos + step, pos)
         rem = np.where(high, rem >> step, rem)
     return pos
-
-
-def clz_width(value: IntArray, width: int) -> np.ndarray:
-    """Count of leading zeros within a ``width``-bit word."""
-    pos = leading_one_position(value)
-    if np.any(pos >= width):
-        raise FixedPointError("value does not fit in the stated width")
-    return (width - 1) - pos

@@ -19,7 +19,6 @@ from .quantizer import (
     QuantParams,
     QuantizedTensor,
     int_gemm,
-    quantization_error,
     symmetric_scale,
 )
 from .sensitivity import (
@@ -46,7 +45,6 @@ __all__ = [
     "compression_tolerance",
     "full_vs_sum_of_parts",
     "int_gemm",
-    "quantization_error",
     "rank_by_sensitivity",
     "surviving_blocks",
     "symmetric_scale",

@@ -243,7 +243,7 @@ class QuantizedTransformer:
         logits = qt.forward(src, tgt)  # integer-datapath inference
 
     Implements the ``encode/decode/generator/build_masks`` protocol, so the
-    greedy/beam decoders accept it interchangeably with the FP model.
+    greedy decoder accepts it interchangeably with the FP model.
     """
 
     def __init__(

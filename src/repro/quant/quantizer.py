@@ -128,9 +128,3 @@ def int_gemm(
     if bias is not None:
         out = out + bias
     return out
-
-
-def quantization_error(tensor: np.ndarray, bits: int = 8) -> float:
-    """RMS error introduced by symmetric quantization of ``tensor``."""
-    qt = QuantizedTensor.quantize(np.asarray(tensor), bits)
-    return float(np.sqrt(np.mean((qt.dequantize() - tensor) ** 2)))

@@ -182,19 +182,6 @@ class BatchCostModel:
         return (self.model.num_decoder_layers
                 or self.model.num_encoder_layers)
 
-    def prefill_cycles(self, prompt_len: int) -> int:
-        """Full-model prefill at ``prompt_len`` via the fused schedule.
-
-        Prompts longer than the SA's rows run as the row-tiled fused
-        attention of :mod:`repro.decode` instead of being rejected by
-        the fixed-geometry batcher.
-        """
-        from ..decode import prefill_layer_cycles
-
-        return self._generation_layers * prefill_layer_cycles(
-            self.model, self.acc, prompt_len
-        )
-
     def decode_step_cycles(self, context_len: int) -> int:
         """Full-model single-token decode step at ``context_len``."""
         from ..decode import decode_step_breakdown

@@ -47,7 +47,6 @@ class Device:
     free_at_us: float = 0.0
     busy_us: float = 0.0
     batches_run: int = 0
-    tokens_served: int = 0
     alive: bool = True
     failed_at_us: Optional[float] = None
     activated_us: float = 0.0
@@ -268,7 +267,6 @@ class WorkerPool:
             duration = self.acc.cycles_to_us(run_cycles)
             device.occupy(start, duration)
             device.batches_run += 1
-            device.tokens_served += batch.total_tokens
             span = TraceSpan(
                 name=f"batch{batch.batch_id}",
                 track=f"{self.track_prefix}device{device.device_id}",
@@ -288,7 +286,6 @@ class WorkerPool:
             start = max(ready, device.free_at_us)
             device.occupy(start, stage_us)
             device.batches_run += 1
-            device.tokens_served += batch.total_tokens
             spans.append(TraceSpan(
                 name=f"batch{batch.batch_id}.stage{device.device_id}",
                 track=f"{self.track_prefix}device{device.device_id}",

@@ -33,7 +33,6 @@ from .cache import AnalysisUnit, CheckCache, UnitResult
 from .det_lints import (
     DET_CODES,
     lint_determinism_source,
-    run_det_lints,
     sim_module_files,
 )
 from .findings import SEVERITIES, CheckReport, Finding, sort_findings
@@ -46,7 +45,6 @@ from .qformat import (
     Port,
     build_datapath_graph,
     check_graph,
-    check_qformat,
 )
 from .sarif import RULE_DOCS, to_sarif, write_sarif
 from .overflow import (
@@ -110,7 +108,6 @@ __all__ = [
     "certify_softmax",
     "check_graph",
     "check_pricing",
-    "check_qformat",
     "envelope",
     "lint_determinism_source",
     "lint_paper_points",
@@ -122,7 +119,6 @@ __all__ = [
     "paper_point",
     "run_ast_lints",
     "run_check",
-    "run_det_lints",
     "scan_pricing",
     "selftest_check",
     "sim_module_files",

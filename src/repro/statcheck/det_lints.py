@@ -530,29 +530,3 @@ def sim_module_files(root: Path) -> list[Path]:
         if is_simulation_module(rel, source):
             files.append(path)
     return files
-
-
-def run_det_lints(
-    root: Optional[Path] = None,
-) -> tuple[int, list[Finding]]:
-    """Run the DET rules over every simulation module.
-
-    Args:
-        root: Directory containing the ``repro`` package (default: the
-            installed package's parent).
-
-    Returns:
-        ``(modules_checked, findings)``.
-    """
-    if root is None:
-        root = Path(__file__).resolve().parents[2]
-    root = Path(root)
-    findings: list[Finding] = []
-    files = sim_module_files(root)
-    for path in files:
-        rel = path.relative_to(root).as_posix()
-        try:
-            findings.extend(lint_determinism_source(path.read_text(), rel))
-        except SyntaxError:
-            continue
-    return len(files), findings

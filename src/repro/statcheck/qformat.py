@@ -44,7 +44,7 @@ from ..fixedpoint.layernorm_datapath import FixedPointLayerNorm
 from ..fixedpoint.ln_unit import LnUnit
 from ..fixedpoint.types import QFormat
 from .findings import Finding
-from .overflow import OverflowPoint, certify_overflow
+from .overflow import OverflowPoint
 
 QFMT_CODES = ("QFMT001", "QFMT002", "QFMT003", "QFMT004")
 
@@ -388,24 +388,3 @@ def check_graph(
             details={"port": port.name},
         ))
     return checks, findings
-
-
-def check_qformat(
-    point: Optional[OverflowPoint] = None,
-    graph: Optional[DatapathGraph] = None,
-    extra_certified: tuple[str, ...] = (),
-) -> tuple[int, list[Finding]]:
-    """Run the QFMT engine at one operating point.
-
-    Args:
-        point: Operating point (default: the paper point).
-        graph: Pre-built (possibly seeded-bug-mutated) graph override.
-        extra_certified: Phantom StageBound names appended to the real
-            certifier output (the ``orphan-bound`` seeded bug).
-    """
-    point = point or OverflowPoint()
-    if graph is None:
-        graph = build_datapath_graph(point)
-    stages, _ = certify_overflow(point)
-    names = [stage.name for stage in stages] + list(extra_certified)
-    return check_graph(graph, certified_names=names)

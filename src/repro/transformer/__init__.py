@@ -14,13 +14,13 @@ from .attention import (
 )
 from .bert import EncoderOnlyClassifier
 from .decoder import Decoder, DecoderLayer
-from .decoding import DecodeResult, beam_search_decode, greedy_decode
+from .decoding import DecodeResult, greedy_decode
 from .embedding import Embedding, PositionalEncoding, sinusoidal_encoding
 from .encoder import Encoder, EncoderLayer
 from .ffn import FFNResBlock, PositionwiseFFN
 from .incremental import IncrementalDecoder, greedy_decode_incremental
 from .layers import Dropout, LayerNorm, Linear
-from .masks import causal_mask, combine_masks, cross_attention_mask, padding_mask
+from .masks import causal_mask, combine_masks, padding_mask
 from .model import Transformer
 from .module import Module, Parameter
 from .optim import Adam, NoamSchedule, cross_entropy
@@ -50,11 +50,9 @@ __all__ = [
     "ScaledDotProductAttention",
     "Tensor",
     "Transformer",
-    "beam_search_decode",
     "causal_mask",
     "combine_masks",
     "concatenate",
-    "cross_attention_mask",
     "cross_entropy",
     "embedding_lookup",
     "greedy_decode",

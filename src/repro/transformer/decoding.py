@@ -1,10 +1,10 @@
-"""Autoregressive decoding: greedy and beam search.
+"""Autoregressive greedy decoding.
 
 Used by the synthetic-NMT evaluation to turn the (FP32 or quantized)
 Transformer into translations whose BLEU we report, mirroring the paper's
-IWSLT evaluation protocol ("tst2014", greedy/beam decode, BLEU).
+IWSLT evaluation protocol ("tst2014", greedy decode, BLEU).
 
-Both decoders work with any model object exposing ``encode``/``decode``/
+The decoder works with any model object exposing ``encode``/``decode``/
 ``generator`` plus ``build_masks`` — the golden :class:`Transformer` and
 the quantized model both satisfy this protocol.
 """
@@ -27,11 +27,6 @@ class DecodeResult:
     score: float
 
 
-def _check_special_ids(bos_id: int, eos_id: int) -> None:
-    if bos_id < 0 or eos_id < 0:
-        raise DecodingError("bos/eos ids must be non-negative")
-
-
 def greedy_decode(
     model,
     src_ids: np.ndarray,
@@ -49,7 +44,8 @@ def greedy_decode(
         bos_id / eos_id: Begin/end sentence ids.
         max_len: Maximum target length (excluding BOS).
     """
-    _check_special_ids(bos_id, eos_id)
+    if bos_id < 0 or eos_id < 0:
+        raise DecodingError("bos/eos ids must be non-negative")
     src_ids = np.asarray(src_ids)
     batch, src_len = src_ids.shape
     src_lengths = np.asarray(src_lengths)
@@ -88,97 +84,3 @@ def greedy_decode(
 def _log_sum_exp(logits: np.ndarray) -> np.ndarray:
     m = logits.max(axis=-1, keepdims=True)
     return m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
-
-
-def beam_search_decode(
-    model,
-    src_ids: np.ndarray,
-    src_lengths: Sequence[int],
-    bos_id: int,
-    eos_id: int,
-    beam_size: int = 4,
-    max_len: int = 64,
-    length_penalty: float = 0.6,
-) -> list[DecodeResult]:
-    """Beam search with GNMT length normalization, one sentence at a time.
-
-    Returns the single best hypothesis per batch row.
-    """
-    _check_special_ids(bos_id, eos_id)
-    if beam_size < 1:
-        raise DecodingError("beam_size must be >= 1")
-    src_ids = np.asarray(src_ids)
-    results = []
-    for row, length in zip(src_ids, np.asarray(src_lengths)):
-        results.append(
-            _beam_search_single(
-                model, row, int(length), bos_id, eos_id,
-                beam_size, max_len, length_penalty,
-            )
-        )
-    return results
-
-
-def _length_norm(length: int, alpha: float) -> float:
-    return ((5.0 + length) / 6.0) ** alpha
-
-
-def _beam_search_single(
-    model,
-    src_row: np.ndarray,
-    src_length: int,
-    bos_id: int,
-    eos_id: int,
-    beam_size: int,
-    max_len: int,
-    alpha: float,
-) -> DecodeResult:
-    src = src_row[None, :]
-    src_len = src.shape[1]
-    lengths = np.array([src_length])
-    enc_mask, _, _ = model.build_masks(lengths, 1, src_len)
-    memory = model.encode(src, enc_mask)
-    memory_data = memory.numpy()
-
-    beams = [([bos_id], 0.0)]
-    completed: list[DecodeResult] = []
-    for _ in range(max_len):
-        if not beams:
-            break
-        tgt_len = len(beams[0][0])
-        tokens = np.array([b[0] for b in beams], dtype=np.int64)
-        expanded = type(memory)(np.repeat(memory_data, len(beams), axis=0))
-        beam_lengths = np.repeat(lengths, len(beams))
-        _, dec_self, cross = model.build_masks(beam_lengths, tgt_len, src_len)
-        states = model.decode(tokens, expanded, dec_self, cross)
-        logits = model.generator(states).numpy()[:, -1, :]
-        log_probs = logits - _log_sum_exp(logits)
-
-        candidates = []
-        for (seq, score), row_lp in zip(beams, log_probs):
-            top = np.argsort(row_lp)[::-1][: beam_size * 2]
-            for token in top:
-                candidates.append((seq + [int(token)], score + row_lp[token]))
-        candidates.sort(key=lambda c: c[1], reverse=True)
-
-        beams = []
-        for seq, score in candidates:
-            if seq[-1] == eos_id:
-                norm = _length_norm(len(seq) - 1, alpha)
-                completed.append(
-                    DecodeResult(tokens=seq[1:-1], score=score / norm)
-                )
-            elif len(beams) < beam_size:
-                beams.append((seq, score))
-            if len(beams) == beam_size:
-                break
-        if len(completed) >= beam_size:
-            break
-
-    if not completed:
-        # No beam reached EOS within max_len; keep the best open beam.
-        seq, score = max(beams, key=lambda b: b[1])
-        return DecodeResult(
-            tokens=seq[1:], score=score / _length_norm(len(seq), alpha)
-        )
-    return max(completed, key=lambda r: r.score)

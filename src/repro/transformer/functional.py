@@ -145,14 +145,3 @@ def ffn(
 ) -> np.ndarray:
     """Position-wise feed-forward network, Eq. (2): ReLU(xW1+b1)W2+b2."""
     return relu(x @ w1 + b1) @ w2 + b2
-
-
-def residual_layer_norm(
-    x: np.ndarray,
-    sublayer_out: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    eps: float = LAYERNORM_EPS,
-) -> np.ndarray:
-    """``LayerNorm(x + Sublayer(x))`` — the ResBlock wrapper of Fig. 2."""
-    return layer_norm(x + sublayer_out, gamma, beta, eps=eps)

@@ -62,10 +62,3 @@ def combine_masks(*masks: Optional[np.ndarray]) -> Optional[np.ndarray]:
     for mask in present[1:]:
         combined = combined | mask
     return combined
-
-
-def cross_attention_mask(
-    target_queries: int, source_lengths: Sequence[int], source_len: int
-) -> np.ndarray:
-    """Decoder-to-encoder mask hiding padded source positions."""
-    return padding_mask(source_lengths, source_len, num_queries=target_queries)

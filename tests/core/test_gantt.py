@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import paper_accelerator, transformer_base
 from repro.core import schedule_ffn, schedule_mha
-from repro.core.gantt import gantt_lines, render_gantt
+from repro.core.gantt import render_gantt
 from repro.core.scheduler import ScheduleResult
 from repro.errors import ScheduleError
 
@@ -25,19 +25,19 @@ class TestRenderGantt:
         assert f"{mha.total_cycles:,}" in render_gantt(mha)
 
     def test_track_rows_share_width(self, mha):
-        lines = gantt_lines(mha, width=80)
+        lines = render_gantt(mha, width=80).splitlines()
         bars = [l for l in lines if l.rstrip().endswith("|")]
         assert len({len(l.rstrip()) for l in bars}) == 1
 
     def test_layernorm_at_the_end(self, mha):
-        lines = gantt_lines(mha, width=60)
+        lines = render_gantt(mha, width=60).splitlines()
         ln_row = next(l for l in lines if l.startswith("layernorm"))
         bar = ln_row.split("|")[1]
         assert "L" in bar[-4:]
         assert "L" not in bar[:30]
 
     def test_sa_mostly_busy(self, mha):
-        lines = gantt_lines(mha, width=100)
+        lines = render_gantt(mha, width=100).splitlines()
         sa_row = next(l for l in lines if l.startswith("sa"))
         bar = sa_row.split("|")[1]
         assert bar.count("#") > 90  # the paper's "hardly stops running"

@@ -11,8 +11,6 @@ from repro.config import (
 from repro.core import (
     PAPER_FFN_CYCLES,
     PAPER_MHA_CYCLES,
-    schedule_autoregressive,
-    schedule_encoder_layer,
     schedule_ffn,
     schedule_mha,
     schedule_model,
@@ -142,12 +140,6 @@ class TestLargerModels:
         assert (schedule_mha(big, acc).total_cycles
                 > 2 * schedule_mha(base, acc).total_cycles)
 
-    def test_encoder_layer_is_sum(self, base, acc):
-        assert schedule_encoder_layer(base, acc) == (
-            schedule_mha(base, acc).total_cycles
-            + schedule_ffn(base, acc).total_cycles
-        )
-
     def test_model_totals(self, base, acc):
         totals = schedule_model(base, acc)
         mha, ffn = totals["mha_cycles"], totals["ffn_cycles"]
@@ -160,33 +152,6 @@ class TestLargerModels:
     def test_result_find_missing(self, base, acc):
         with pytest.raises(ScheduleError):
             schedule_mha(base, acc).find("nonexistent")
-
-
-class TestAutoregressive:
-    def test_encoder_once_decoder_per_token(self, base, acc):
-        r = schedule_autoregressive(base, acc, generated_tokens=10)
-        totals = schedule_model(base, acc)
-        assert r["encoder_cycles"] == totals["encoder_cycles"]
-        # One token = one full decoder-stack pass (all 6 layers).
-        assert r["decoder_cycles_per_token"] == totals["decoder_cycles"]
-        assert r["total_cycles"] == (
-            r["encoder_cycles"] + 10 * r["decoder_cycles_per_token"]
-        )
-
-    def test_decoder_step_is_one_stack_pass(self, base, acc):
-        r = schedule_autoregressive(base, acc, generated_tokens=1)
-        mha = schedule_mha(base, acc).total_cycles
-        ffn = schedule_ffn(base, acc).total_cycles
-        assert r["decoder_cycles_per_token"] == 6 * (2 * mha + ffn)
-
-    def test_cycles_per_token_amortizes_encoder(self, base, acc):
-        short = schedule_autoregressive(base, acc, 2)
-        long = schedule_autoregressive(base, acc, 64)
-        assert long["cycles_per_token"] < short["cycles_per_token"]
-
-    def test_invalid_token_count(self, base, acc):
-        with pytest.raises(ScheduleError):
-            schedule_autoregressive(base, acc, 0)
 
 
 class TestWeightLoadAudit:

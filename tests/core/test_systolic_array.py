@@ -8,7 +8,6 @@ from repro.core import (
     ScalarSystolicArray,
     SystolicArray,
     expected_pass_cycles,
-    tiled_matmul,
 )
 from repro.errors import FixedPointError, ShapeError
 
@@ -151,33 +150,3 @@ class TestScalarCrossValidation:
     def test_scalar_size_limit(self):
         with pytest.raises(ShapeError):
             ScalarSystolicArray(128, 64)
-
-
-class TestTiledMatmul:
-    def test_wide_matrix(self):
-        sa = SystolicArray(8, 4)
-        a = RNG.integers(-10, 10, size=(8, 16))
-        b = RNG.integers(-10, 10, size=(16, 10))
-        product, cycles = tiled_matmul(sa, a, b)
-        assert np.array_equal(product, a @ b)
-        assert cycles > 0
-
-    def test_tall_matrix(self):
-        sa = SystolicArray(4, 4)
-        a = RNG.integers(-10, 10, size=(10, 6))
-        b = RNG.integers(-10, 10, size=(6, 4))
-        product, _ = tiled_matmul(sa, a, b)
-        assert np.array_equal(product, a @ b)
-
-    def test_cycles_sum_over_tiles(self):
-        sa = SystolicArray(4, 4)
-        a = RNG.integers(-2, 2, size=(4, 6))
-        b = RNG.integers(-2, 2, size=(6, 8))
-        _, cycles = tiled_matmul(sa, a, b)
-        assert cycles == 2 * expected_pass_cycles(4, 6, 4)
-
-    def test_shape_mismatch(self):
-        sa = SystolicArray(4, 4)
-        with pytest.raises(ShapeError):
-            tiled_matmul(sa, np.zeros((4, 5), dtype=np.int64),
-                         np.zeros((6, 4), dtype=np.int64))

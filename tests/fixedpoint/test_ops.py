@@ -7,52 +7,20 @@ from repro.errors import FixedPointError
 from repro.fixedpoint import (
     LN2_TERMS,
     LOG2E_TERMS,
-    QFormat,
-    arith_shift_right,
-    clz_width,
     leading_one_position,
     rounding_shift_right,
-    sat_add,
-    sat_mul,
-    sat_sub,
     shift_add_constant,
     shift_add_multiply,
-    shift_left,
 )
-
-FMT8 = QFormat(8, 0)
-
-
-class TestSaturatingOps:
-    def test_sat_add_normal(self):
-        assert sat_add(np.array([3]), np.array([4]), FMT8)[0] == 7
-
-    def test_sat_add_saturates_high(self):
-        assert sat_add(np.array([100]), np.array([100]), FMT8)[0] == 127
-
-    def test_sat_add_saturates_low(self):
-        assert sat_add(np.array([-100]), np.array([-100]), FMT8)[0] == -128
-
-    def test_sat_sub(self):
-        assert sat_sub(np.array([-100]), np.array([100]), FMT8)[0] == -128
-
-    def test_sat_mul(self):
-        assert sat_mul(np.array([12]), np.array([12]), FMT8)[0] == 127
-
-    def test_rejects_float_input(self):
-        with pytest.raises(FixedPointError):
-            sat_add(np.array([1.5]), np.array([2]), FMT8)
 
 
 class TestShifts:
-    def test_arith_shift_floor_on_negative(self):
-        # The paper's >>3 scaling: -1 >> 3 floors to -1, not 0.
-        assert arith_shift_right(np.array([-1]), 3)[0] == -1
-        assert arith_shift_right(np.array([-8]), 3)[0] == -1
-        assert arith_shift_right(np.array([8]), 3)[0] == 1
+    def test_rejects_float_input(self):
+        with pytest.raises(FixedPointError):
+            rounding_shift_right(np.array([1.5]), 1)
 
     def test_shift_by_zero_identity(self):
-        assert arith_shift_right(np.array([42]), 0)[0] == 42
+        assert rounding_shift_right(np.array([42]), 0)[0] == 42
 
     def test_rounding_shift_right(self):
         assert rounding_shift_right(np.array([5]), 1)[0] == 3   # 2.5 -> 3
@@ -65,12 +33,9 @@ class TestShifts:
         err = out - values / 8.0
         assert abs(err.mean()) < 0.1
 
-    def test_shift_left(self):
-        assert shift_left(np.array([3]), 4)[0] == 48
-
     def test_negative_shift_rejected(self):
         with pytest.raises(FixedPointError):
-            arith_shift_right(np.array([1]), -1)
+            rounding_shift_right(np.array([1]), -1)
 
 
 class TestShiftAddMultiply:
@@ -130,11 +95,3 @@ class TestLeadingOne:
             (1 << 53) - 1, 1 << 53, (1 << 54) - 1, (1 << 61) - 1, 1 << 62,
         ])
         assert leading_one_position(values).tolist() == [52, 53, 53, 60, 62]
-
-    def test_clz(self):
-        assert clz_width(np.array([1]), 8)[0] == 7
-        assert clz_width(np.array([128]), 8)[0] == 0
-
-    def test_clz_rejects_overwide(self):
-        with pytest.raises(FixedPointError):
-            clz_width(np.array([256]), 8)

@@ -10,7 +10,6 @@ from repro.fixedpoint import (
     LnUnit,
     QFormat,
     rounding_shift_right,
-    sat_add,
 )
 
 formats = st.builds(
@@ -48,13 +47,6 @@ class TestQFormatProperties:
 
 
 class TestOpsProperties:
-    @given(a=st.integers(-127, 127), b=st.integers(-127, 127))
-    def test_sat_add_commutative(self, a, b):
-        fmt = QFormat(8, 0)
-        x = sat_add(np.array([a]), np.array([b]), fmt)
-        y = sat_add(np.array([b]), np.array([a]), fmt)
-        assert x[0] == y[0]
-
     @given(value=st.integers(-2**40, 2**40),
            bits=st.integers(0, 20))
     def test_rounding_shift_close_to_division(self, value, bits):

@@ -8,7 +8,6 @@ from repro.quant import (
     QuantParams,
     QuantizedTensor,
     int_gemm,
-    quantization_error,
     symmetric_scale,
 )
 
@@ -70,12 +69,6 @@ class TestQuantizedTensor:
         qt = QuantizedTensor.quantize(x)
         assert qt.shape == (4, 5)
         assert np.abs(qt.dequantize() - x).max() <= qt.params.scale / 2 + 1e-12
-
-    def test_error_metric(self):
-        x = RNG.normal(size=500)
-        rms = quantization_error(x)
-        assert 0 < rms < QuantParams.from_tensor(x).scale
-
 
 class TestIntGemm:
     def test_equals_fake_quant_fp_gemm(self):

@@ -4,8 +4,9 @@ from pathlib import Path
 
 from repro.statcheck import (
     DET_CODES,
+    PASSES,
     lint_determinism_source,
-    run_det_lints,
+    run_check,
     sim_module_files,
 )
 from repro.statcheck.det_lints import is_simulation_module
@@ -139,9 +140,11 @@ class TestScope:
         assert is_simulation_module("repro/decode/serving.py", "")
 
     def test_real_tree_is_clean(self):
-        modules, findings = run_det_lints(SRC_ROOT)
-        assert modules >= 20
-        assert findings == []
+        report = run_check(
+            skip=[p for p in PASSES if p != "det"], ast_root=SRC_ROOT
+        )
+        assert report.checks_run["det"] >= 20
+        assert [f for f in report.findings if f.code.startswith("DET")] == []
 
     def test_reliability_modules_included_via_marker(self):
         files = {p.as_posix() for p in sim_module_files(SRC_ROOT)}

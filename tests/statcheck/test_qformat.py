@@ -4,15 +4,25 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.statcheck import (
+    PASSES,
     DatapathGraph,
     OverflowPoint,
     Port,
     build_datapath_graph,
     certify_overflow,
     check_graph,
-    check_qformat,
+    run_check,
 )
 from repro.fixedpoint.types import QFormat
+
+
+def qformat_report(point=None):
+    """The QFMT slice of the run ``repro check`` makes at ``point``."""
+    report = run_check(
+        point=point, skip=[p for p in PASSES if p != "qformat"]
+    )
+    qfmt = [f for f in report.findings if f.code.startswith("QFMT")]
+    return report.checks_run["qformat"], qfmt
 
 
 def small_graph():
@@ -98,7 +108,7 @@ class TestPaperGraph:
             assert stage.name in reachable, stage.name
 
     def test_paper_point_clean(self):
-        checks, findings = check_qformat()
+        checks, findings = qformat_report()
         assert checks > 25
         assert findings == []
 
@@ -122,5 +132,5 @@ class TestPaperGraph:
             OverflowPoint(name="big", h=16, d_model=1024, d_ff=4096),
             OverflowPoint(name="bert", d_model=768, d_ff=3072, s=128),
         ):
-            _, findings = check_qformat(point=point)
+            _, findings = qformat_report(point)
             assert findings == [], point.name

@@ -109,7 +109,7 @@ class TestAcceleratorConfig:
 
     def test_negative_overhead_rejected(self):
         with pytest.raises(ConfigError):
-            AcceleratorConfig(sa_fill_cycles=-1)
+            AcceleratorConfig(sa_drain_cycles=-1)
 
     def test_accumulator_width_check(self):
         with pytest.raises(ConfigError):

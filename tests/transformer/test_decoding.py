@@ -1,14 +1,11 @@
-"""Greedy and beam-search decoding tests on a rigged deterministic model."""
+"""Greedy decoding tests on a rigged deterministic model."""
 
 import numpy as np
 import pytest
 
 from repro.errors import DecodingError
 from repro.transformer import Tensor
-from repro.transformer.decoding import (
-    beam_search_decode,
-    greedy_decode,
-)
+from repro.transformer.decoding import greedy_decode
 
 
 class RiggedModel:
@@ -103,51 +100,3 @@ class TestGreedy:
         with pytest.raises(DecodingError):
             greedy_decode(chain_model, np.zeros((1, 3), dtype=int), [3],
                           -1, EOS)
-
-
-class TestBeam:
-    def test_matches_greedy_on_deterministic_chain(self, chain_model):
-        res = beam_search_decode(
-            chain_model, np.zeros((1, 3), dtype=int), [3], BOS, EOS,
-            beam_size=3, max_len=10,
-        )
-        assert res[0].tokens == [5, 6, 7]
-
-    def test_beam_finds_delayed_reward_path(self):
-        # Greedy takes 3 (slightly higher first step), but state 3 splits
-        # its continuation mass between 9 and 5 (each ~50%), while state 4
-        # continues to 8 with near-certainty; beam should find 4 -> 8.
-        transitions = {
-            BOS: {3: 0.1, 4: 0.0},
-            3: {9: 0.0, 5: -0.01},
-            9: {EOS: 0.0},
-            5: {EOS: 0.0},
-            4: {8: 5.0, 7: -5.0},
-            8: {EOS: 0.0},
-        }
-        model = RiggedModel(10, transitions, EOS)
-        greedy = greedy_decode(model, np.zeros((1, 2), dtype=int), [2],
-                               BOS, EOS, max_len=6)
-        beam = beam_search_decode(model, np.zeros((1, 2), dtype=int), [2],
-                                  BOS, EOS, beam_size=4, max_len=6)
-        assert greedy[0].tokens == [3, 9]
-        assert beam[0].tokens == [4, 8]
-
-    def test_beam_size_one_equals_greedy(self, chain_model):
-        beam = beam_search_decode(chain_model, np.zeros((1, 2), dtype=int),
-                                  [2], BOS, EOS, beam_size=1, max_len=10)
-        greedy = greedy_decode(chain_model, np.zeros((1, 2), dtype=int),
-                               [2], BOS, EOS, max_len=10)
-        assert beam[0].tokens == greedy[0].tokens
-
-    def test_invalid_beam_size(self, chain_model):
-        with pytest.raises(DecodingError):
-            beam_search_decode(chain_model, np.zeros((1, 2), dtype=int),
-                               [2], BOS, EOS, beam_size=0)
-
-    def test_no_eos_returns_best_open_beam(self):
-        transitions = {BOS: {5: 0.0}, 5: {5: 0.0}}  # never emits EOS
-        model = RiggedModel(10, transitions, EOS)
-        res = beam_search_decode(model, np.zeros((1, 2), dtype=int), [2],
-                                 BOS, EOS, beam_size=2, max_len=4)
-        assert res[0].tokens == [5, 5, 5, 5]

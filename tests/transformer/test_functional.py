@@ -13,7 +13,6 @@ from repro.transformer.functional import (
     layer_norm_two_pass,
     log_sum_exp_softmax,
     relu,
-    residual_layer_norm,
     scaled_masked_softmax,
     softmax,
 )
@@ -157,12 +156,3 @@ class TestAttentionAndFFN:
     def test_relu(self):
         assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])),
                               np.array([0.0, 0.0, 2.0]))
-
-    def test_residual_layer_norm(self):
-        x = RNG.normal(size=(2, 8))
-        sub = RNG.normal(size=(2, 8))
-        gamma, beta = np.ones(8), np.zeros(8)
-        assert np.allclose(
-            residual_layer_norm(x, sub, gamma, beta),
-            layer_norm(x + sub, gamma, beta),
-        )

@@ -7,7 +7,6 @@ from repro.errors import ShapeError
 from repro.transformer import (
     causal_mask,
     combine_masks,
-    cross_attention_mask,
     padding_mask,
 )
 
@@ -81,11 +80,3 @@ class TestCombine:
         out = combine_masks(causal, pad)
         assert out.shape == (1, 3, 3)
         assert out[0, 0, 2] and out[0, 1, 2]   # padded OR future
-
-
-class TestCrossMask:
-    def test_shape_and_content(self):
-        m = cross_attention_mask(3, [2], source_len=4)
-        assert m.shape == (1, 3, 4)
-        assert np.all(m[0, :, 2:])
-        assert not m[0, :, :2].any()
