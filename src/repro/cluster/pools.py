@@ -171,12 +171,13 @@ class PoolRuntime:
         self.last_scale_down_us = float("-inf")
         self.busy_us_snapshot = 0.0
         self.completions: deque[tuple[float, float]] = deque()
-        # Accounting: dispatched batches in dispatch order, plus the
-        # per-batch counter-track samples taken at each batch's final
-        # completion (useful-MAC share and cumulative weight-cache hit
-        # rate).
+        # Accounting: dispatched batches in dispatch order, ABFT-driven
+        # batch re-runs, plus the per-batch counter-track samples taken
+        # at each batch's final completion (useful-MAC share and
+        # cumulative weight-cache hit rate).
         self.routed = 0
         self.completed = 0
+        self.retried = 0
         self.batches: list[Batch] = []
         self.mac_share = self.cost.ideal_cycles / self.cost.run_cycles
         self.util_samples: list[tuple[float, float]] = []

@@ -49,7 +49,7 @@ from ..obs.spans import AttemptSpan, request_trace
 from ..serving.simulator import RequestRecord
 from ..serving.workload import Request, validate_workload
 from .autoscaler import Autoscaler, ScaleAction
-from .metrics import OUTCOMES, ClusterMetrics, compute_cluster_metrics
+from .metrics import ClusterMetrics, compute_cluster_metrics
 from .pools import PoolRuntime
 from .router import Router
 from .workload import ClusterRequest, cluster_workload
@@ -141,7 +141,6 @@ class FleetRun:
     device_samples: dict[str, list[tuple]]
     router: Router
     actions: list[ScaleAction]
-    retried: int
     last_completion_us: float
     makespan_us: float
 
@@ -186,7 +185,6 @@ def run_fleet(
         p.name: [(0.0, p.active_device_count)] for p in pools
     }
     in_flight = 0
-    retried = 0
     remaining_arrivals = len(requests)
     seq = itertools.count()
     heap: list = []
@@ -241,7 +239,7 @@ def run_fleet(
 
     def run_batch(pool: PoolRuntime, batch, now_us: float) -> None:
         """Dispatch ``batch``, play out its fault/retry chain, book it."""
-        nonlocal in_flight, retried
+        nonlocal in_flight
         workers = pool.workers
         outcome = workers.dispatch(batch, now_us)
         pool.batches.append(batch)
@@ -256,7 +254,7 @@ def run_fleet(
         while (faulted and workers.acc.abft_protected
                and tries < max_retries and workers.pool_alive):
             tries += 1
-            retried += 1
+            pool.retried += 1
             retry_at = outcome.completion_us
             fault_marker(f"batch{batch.batch_id}.retry{tries}", retry_at,
                          {"event": "abft_retry", "attempt": tries})
@@ -435,7 +433,6 @@ def run_fleet(
         device_samples=device_samples,
         router=router,
         actions=list(scaler.actions),
-        retried=retried,
         last_completion_us=last_completion,
         makespan_us=last_completion - first_arrival,
     )
@@ -487,67 +484,9 @@ def simulate_cluster(
         for pool_cfg in cluster.pools
     ]
     run = run_fleet(cluster, pools, requests, tracer=tracer, monitor=monitor)
-    last_completion = run.last_completion_us
-
-    tenant_names = [t.name for t in cluster.tenants]
-    tenant_offered = dict.fromkeys(tenant_names, 0)
-    tenant_outcomes = {
-        name: dict.fromkeys(OUTCOMES, 0) for name in tenant_names
-    }
-    tenant_attained = dict.fromkeys(tenant_names, 0)
-    tenant_latencies: dict[str, list[float]] = {
-        name: [] for name in tenant_names
-    }
-    for record in run.records:
-        tenant = record.request.tenant
-        tenant_offered[tenant] += 1
-        tenant_outcomes[tenant][record.status] += 1
-        if record.attained:
-            tenant_attained[tenant] += 1
-        if record.latency_us is not None:
-            tenant_latencies[tenant].append(record.latency_us)
-
-    metrics = compute_cluster_metrics(
-        policy=cluster.router_policy,
-        tenant_offered=tenant_offered,
-        tenant_outcomes=tenant_outcomes,
-        tenant_slo_attained=tenant_attained,
-        tenant_latencies_us=tenant_latencies,
-        routing_decisions=dict(run.router.decisions),
-        shed=run.router.shed,
-        autoscale_actions=[
-            (a.at_us, a.pool, a.direction, a.reason) for a in run.actions
-        ],
-        pool_completed={p.name: p.completed for p in pools},
-        pool_batches={
-            p.name: [(b.num_requests, b.total_tokens) for b in p.batches]
-            for p in pools
-        },
-        pool_cache={
-            p.name: (p.workers.weight_cache_hits,
-                     p.workers.weight_cache_misses)
-            for p in pools
-        },
-        pool_depth_samples={
-            p.name: list(p.queue.depth_samples) for p in pools
-        },
-        pool_device_samples=run.device_samples,
-        pool_busy_fraction={
-            p.name: (
-                sum(d.busy_us for d in p.workers.devices)
-                / p.workers.device_time_us(last_completion)
-                if p.workers.device_time_us(last_completion) > 0 else 0.0
-            )
-            for p in pools
-        },
-        pool_final_devices={p.name: p.active_device_count for p in pools},
-        seq_len=seq_len,
-        makespan_us=run.makespan_us,
-        registry=registry,
-    )
     return ClusterResult(
         cluster=cluster,
-        metrics=metrics,
+        metrics=compute_cluster_metrics(cluster, run, pools, registry=registry),
         records=run.records,
         actions=run.actions,
         spans=run.spans,

@@ -36,7 +36,7 @@ from ..core.cycle_model import ffn_cycle_breakdown
 from ..core.trace import TraceSpan, time_sorted_counters, write_span_trace
 from ..errors import ServingError
 from ..obs.spans import stream_trace
-from ..telemetry.registry import nearest_rank
+from ..telemetry.registry import latency_summary
 from .cycle_model import decode_step_breakdown, prefill_layer_cycles
 from .kvcache import KVCacheModel
 
@@ -156,11 +156,6 @@ def sample_decode_streams(decode: DecodeConfig) -> list[DecodeStream]:
             )),
         ))
     return streams
-
-
-def _percentile(values: list, q: float) -> float:
-    """Nearest-rank percentile, as serving and cluster report it (0.0 if empty)."""
-    return nearest_rank(sorted(values), q) if values else 0.0
 
 
 class _CostModel:
@@ -486,6 +481,7 @@ def simulate_decode(
         default=first_arrival,
     )
     makespan_us = last_completion - first_arrival
+    prefill_p50, _, prefill_p99, _ = latency_summary(prefill_latencies)
     metrics = DecodeMetrics(
         offered=offered,
         completed=completed,
@@ -497,8 +493,8 @@ def simulate_decode(
         tokens_per_s=(
             decoded_tokens / (makespan_us / 1e6) if makespan_us else 0.0
         ),
-        prefill_p50_us=_percentile(prefill_latencies, 50),
-        prefill_p99_us=_percentile(prefill_latencies, 99),
+        prefill_p50_us=prefill_p50,
+        prefill_p99_us=prefill_p99,
         mean_token_latency_us=(
             sum(token_gaps) / len(token_gaps) if token_gaps else 0.0
         ),

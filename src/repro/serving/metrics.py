@@ -5,8 +5,12 @@ value with at least ``p%`` of the sample at or below it), so the
 reported p50/p95/p99 are always actual observed latencies and runs are
 exactly reproducible.
 
-:func:`compute_metrics` builds the :class:`ServingMetrics` summary from
-the raw run alone.  When the caller passes a
+A serving run is a one-pool fleet, and :func:`compute_metrics` builds
+its :class:`ServingMetrics` as a projection of the fleet reduction
+:func:`repro.cluster.metrics.compute_cluster_metrics`: counts, the
+latency summary, throughput and the pool's batch, queue, cache and
+fault accounting come from there; only the figures no pool summary
+holds are computed here.  When the caller passes a
 :class:`~repro.telemetry.registry.MetricsRegistry` the run is also
 recorded into it (:func:`record_serving` plus four run-level gauges),
 so the same numbers are exportable as Prometheus text / JSON / Chrome
@@ -17,10 +21,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import ServingError
 from ..telemetry.registry import MetricsRegistry, nearest_rank
+
+if TYPE_CHECKING:
+    from ..cluster.pools import PoolRuntime
+    from ..cluster.simulator import FleetRun
+    from ..config import ClusterConfig
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -57,14 +66,20 @@ class ServingMetrics:
         device_failures: Devices that fail-stopped during the run.
         rejection_rate: ``(rejected + expired) / offered``.
         latency percentiles / mean: Arrival-to-completion, us (only
-            completed requests; NaN when nothing completed).
+            completed requests, the mean summed in dispatch order; 0.0
+            when nothing completed).
         throughput_rps: Completed requests per second of makespan.
         tokens_per_s: Valid tokens served per second of makespan.
         makespan_us: First arrival to last completion.
         num_batches / mean_batch_size: Dispatch accounting.
         occupancy: Valid tokens / (batches x SA rows) — 1 minus the
             padding waste the ``s x 64`` geometry forces.
-        device_busy_fraction: Busy device-time / total device-time.
+        device_busy_fraction: The sum of every device's busy time
+            (each run credited whole at dispatch, retries included)
+            over ``num_devices x makespan_us``, with ``num_devices``
+            the pool's configured device count and the makespan
+            running from the first arrival to the last completion.  0
+            when the makespan is 0.
         sa_utilization: Useful-MAC utilization of the whole pool:
             ideal MAC cycles, scaled by row occupancy, over all
             PE-cycles in the makespan.
@@ -118,9 +133,12 @@ class ServingMetrics:
             ["corrupted (silent)", str(self.corrupted)],
             ["device failures", str(self.device_failures)],
             ["rejection rate", f"{self.rejection_rate:.1%}"],
-            ["p50 latency", f"{self.latency_p50_us:.1f} us"],
-            ["p95 latency", f"{self.latency_p95_us:.1f} us"],
-            ["p99 latency", f"{self.latency_p99_us:.1f} us"],
+            ["p50 latency",
+             f"{self.latency_p50_us:.1f} us" if self.completed else "n/a"],
+            ["p95 latency",
+             f"{self.latency_p95_us:.1f} us" if self.completed else "n/a"],
+            ["p99 latency",
+             f"{self.latency_p99_us:.1f} us" if self.completed else "n/a"],
             ["throughput", f"{self.throughput_rps:.1f} req/s"],
             ["token throughput", f"{self.tokens_per_s:,.0f} tok/s"],
             ["batches", str(self.num_batches)],
@@ -227,117 +245,108 @@ def record_serving(
 
 
 def compute_metrics(
-    latencies_us: Sequence[float],
-    batch_sizes: Sequence[int],
-    batch_tokens: Sequence[int],
-    seq_len: int,
-    offered: int,
-    rejected: int,
-    expired: int,
-    makespan_us: float,
-    device_busy_fraction: float,
-    ideal_cycles_per_run: int,
-    run_cycles: int,
-    num_devices: int,
-    depth_samples: Sequence[tuple[float, int]],
-    failed: int = 0,
-    retried: int = 0,
-    corrupted: int = 0,
-    device_failures: int = 0,
-    weight_cache_hits: int = 0,
-    weight_cache_misses: int = 0,
-    reload_stall_cycles: int = 0,
+    fleet: "ClusterConfig",
+    run: "FleetRun",
+    pool: "PoolRuntime",
     registry: Optional[MetricsRegistry] = None,
 ) -> ServingMetrics:
-    """Fold raw simulation records into a :class:`ServingMetrics`.
+    """Project the one-pool fleet ``run`` onto a :class:`ServingMetrics`.
 
-    ``latencies_us`` come in dispatch order: the mean is their running
-    sum in that order, as the registry's histogram accumulates it.
-    When ``registry`` is given the run is also recorded into it
-    (:func:`record_serving`) and the run-level ratios that need
-    simulation context are published as gauges, so the export carries
-    the full summary.
+    Every statistic a fleet or pool summary holds is read from
+    :func:`~repro.cluster.metrics.compute_cluster_metrics`.  Computed
+    here: ``tokens_per_s``, ``sa_utilization``, ``mean_queue_depth``,
+    ``device_busy_fraction``, ``rejection_rate`` and the weight-cache
+    and reload counts.  When ``registry`` is given the run is also
+    recorded into it (:func:`record_serving`) and the run-level ratios
+    that need simulation context are published as gauges, so the
+    export carries the full summary.
     """
-    completed = len(latencies_us)
-    p50 = p95 = p99 = mean = float("nan")
-    if completed:
-        ordered = sorted(latencies_us)
-        p50, p95, p99 = (nearest_rank(ordered, p) for p in (50, 95, 99))
-        total = 0.0
-        for value in latencies_us:
-            total += value
-        mean = total / completed
-    seconds = makespan_us / 1e6
-    num_batches = len(batch_sizes)
-    total_tokens = sum(batch_tokens)
-    occupancy = (
-        total_tokens / (num_batches * seq_len) if num_batches else 0.0
-    )
-    # Useful-MAC share: each run streams ideal_cycles_per_run MACs at
-    # full s; occupancy discounts the rows that were padding.
+    # Lazy import: ``import repro`` stays free of the cluster layer.
+    from ..cluster.metrics import compute_cluster_metrics
+
+    totals = compute_cluster_metrics(fleet, run, [pool])
+    summary = totals.pools[pool.name]
+    workers, cost = pool.workers, pool.cost
+    makespan_us = totals.makespan_us
+    busy = workers.busy_fraction(makespan_us)
+    if pool.config.placement != "replicate":
+        run_cycles = cost.compute_cycles
+    elif workers.mem is None:
+        run_cycles = cost.run_cycles
+    else:
+        # Miss-driven reloads vary per run (warm caches shrink them);
+        # charge the mean exposed reload for the utilization ratio.
+        dispatches = sum(d.batches_run for d in workers.devices)
+        run_cycles = cost.compute_cycles + (
+            workers.reload_stall_cycles // dispatches if dispatches else 0
+        )
+    # Useful-MAC share: each run streams ideal_cycles MACs at full s;
+    # occupancy discounts the rows that were padding.
     sa_util = 0.0
     if makespan_us > 0 and run_cycles > 0:
-        sa_util = (device_busy_fraction * (ideal_cycles_per_run / run_cycles)
-                   * occupancy)
+        sa_util = busy * (cost.ideal_cycles / run_cycles) * summary.occupancy
+    seconds = makespan_us / 1e6
+    batch_tokens = [b.total_tokens for b in pool.batches]
+    depth_samples = pool.queue.depth_samples
     if registry is not None:
         record_serving(
             registry,
-            latencies_us=latencies_us,
-            batch_sizes=batch_sizes,
+            latencies_us=[
+                r.latency_us for r in run.records if r.status == "completed"
+            ],
+            batch_sizes=[b.num_requests for b in pool.batches],
             batch_tokens=batch_tokens,
-            offered=offered,
-            rejected=rejected,
-            expired=expired,
+            offered=totals.offered,
+            rejected=totals.rejected,
+            expired=totals.expired,
             depth_samples=depth_samples,
-            failed=failed,
-            retried=retried,
-            corrupted=corrupted,
-            device_failures=device_failures,
-            weight_cache_hits=weight_cache_hits,
-            weight_cache_misses=weight_cache_misses,
-            reload_stall_cycles=reload_stall_cycles,
+            failed=summary.failed,
+            retried=summary.retried,
+            corrupted=summary.corrupted,
+            device_failures=summary.device_failures,
+            weight_cache_hits=workers.weight_cache_hits,
+            weight_cache_misses=workers.weight_cache_misses,
+            reload_stall_cycles=workers.reload_stall_cycles,
         )
         for name, help_text, value in (
             ("repro_serving_makespan_us", "Run makespan (us)", makespan_us),
             ("repro_serving_device_busy_fraction",
-             "Busy device-time / total device-time", device_busy_fraction),
+             "Busy device-time / total device-time", busy),
             ("repro_serving_sa_utilization",
              "Pool-wide useful-MAC utilization", sa_util),
             ("repro_serving_occupancy",
-             "Valid tokens / (batches x SA rows)", occupancy),
+             "Valid tokens / (batches x SA rows)", summary.occupancy),
         ):
             registry.gauge(name, help_text).set(value)
-    lookups = weight_cache_hits + weight_cache_misses
     return ServingMetrics(
-        offered=offered,
-        completed=completed,
-        rejected=rejected,
-        expired=expired,
-        rejection_rate=(rejected + expired) / offered if offered else 0.0,
-        latency_p50_us=p50,
-        latency_p95_us=p95,
-        latency_p99_us=p99,
-        latency_mean_us=mean,
-        throughput_rps=completed / seconds if seconds > 0 else 0.0,
-        tokens_per_s=total_tokens / seconds if seconds > 0 else 0.0,
-        makespan_us=makespan_us,
-        num_batches=num_batches,
-        mean_batch_size=(
-            sum(batch_sizes) / num_batches if num_batches else 0.0
+        offered=totals.offered,
+        completed=totals.completed,
+        rejected=totals.rejected,
+        expired=totals.expired,
+        rejection_rate=(
+            (totals.rejected + totals.expired) / totals.offered
+            if totals.offered else 0.0
         ),
-        occupancy=occupancy,
-        device_busy_fraction=device_busy_fraction,
+        latency_p50_us=totals.latency_p50_us,
+        latency_p95_us=totals.latency_p95_us,
+        latency_p99_us=totals.latency_p99_us,
+        latency_mean_us=totals.latency_mean_us,
+        throughput_rps=totals.throughput_rps,
+        tokens_per_s=sum(batch_tokens) / seconds if seconds > 0 else 0.0,
+        makespan_us=makespan_us,
+        num_batches=summary.num_batches,
+        mean_batch_size=summary.mean_batch_size,
+        occupancy=summary.occupancy,
+        device_busy_fraction=busy,
         sa_utilization=sa_util,
         mean_queue_depth=mean_queue_depth(depth_samples),
-        max_queue_depth=max((d for _, d in depth_samples), default=0),
-        failed=failed,
-        retried=retried,
-        corrupted=corrupted,
-        device_failures=device_failures,
-        weight_cache_hits=weight_cache_hits,
-        weight_cache_misses=weight_cache_misses,
-        weight_cache_hit_rate=(
-            weight_cache_hits / lookups if lookups else 0.0
-        ),
-        reload_stall_cycles=reload_stall_cycles,
+        max_queue_depth=summary.max_queue_depth,
+        failed=summary.failed,
+        retried=summary.retried,
+        corrupted=summary.corrupted,
+        device_failures=summary.device_failures,
+        weight_cache_hits=workers.weight_cache_hits,
+        weight_cache_misses=workers.weight_cache_misses,
+        weight_cache_hit_rate=summary.weight_cache_hit_rate,
+        reload_stall_cycles=workers.reload_stall_cycles,
     )

@@ -170,56 +170,10 @@ def simulate_serving(
         # same ServingConfig injects the same faults and failures.
         fault_rng=np.random.default_rng([serving.seed, 0x5EED]),
     )
-    records = run.records
-    # Latencies in dispatch order: the mean's running float sum sees the
-    # samples in the order the metrics have always been computed in.
-    # Validated ids are dense, so a record's id is its index.
-    latencies = [
-        records[request.req_id].latency_us
-        for batch in pool.batches for request in batch.requests
-        if records[request.req_id].status == "completed"
-    ]
-    failed = sum(r.status == "failed" for r in records)
-    corrupted = sum(r.corrupted for r in records if r.status == "completed")
-    workers = pool.workers
-    if serving.placement != "replicate":
-        run_cycles = cost.compute_cycles
-    elif workers.mem is None:
-        run_cycles = cost.run_cycles
-    else:
-        # Miss-driven reloads vary per run (warm caches shrink them);
-        # charge the mean exposed reload for the utilization ratio.
-        dispatches = sum(d.batches_run for d in workers.devices)
-        run_cycles = cost.compute_cycles + (
-            workers.reload_stall_cycles // dispatches if dispatches else 0
-        )
-    metrics = compute_metrics(
-        latencies_us=latencies,
-        batch_sizes=[b.num_requests for b in pool.batches],
-        batch_tokens=[b.total_tokens for b in pool.batches],
-        seq_len=acc.seq_len,
-        offered=pool.queue.offered,
-        rejected=pool.queue.rejected_full,
-        expired=pool.queue.expired,
-        makespan_us=run.makespan_us,
-        device_busy_fraction=workers.busy_fraction(run.makespan_us),
-        ideal_cycles_per_run=cost.ideal_cycles,
-        run_cycles=run_cycles,
-        num_devices=workers.num_devices,
-        depth_samples=pool.queue.depth_samples,
-        failed=failed,
-        retried=run.retried,
-        corrupted=corrupted,
-        device_failures=workers.device_failures,
-        weight_cache_hits=workers.weight_cache_hits,
-        weight_cache_misses=workers.weight_cache_misses,
-        reload_stall_cycles=workers.reload_stall_cycles,
-        registry=registry,
-    )
     return ServingResult(
         serving=serving,
-        metrics=metrics,
-        records=records,
+        metrics=compute_metrics(fleet, run, pool, registry=registry),
+        records=run.records,
         batches=pool.batches,
         spans=run.spans,
         depth_samples=list(pool.queue.depth_samples),

@@ -29,7 +29,8 @@ source, ``pool`` the device pool, ``policy`` the router policy):
 
 * ``repro_cluster_requests_offered_total{tenant}`` — arrivals;
 * ``repro_cluster_requests_total{tenant,outcome}`` — final outcomes
-  (``completed`` / ``shed`` / ``rejected`` / ``expired``);
+  (``completed`` / ``shed`` / ``rejected`` / ``expired`` /
+  ``failed``);
 * ``repro_cluster_slo_attained_total{tenant}`` — completions within
   the tenant's SLO;
 * ``repro_cluster_latency_us{tenant}`` — completion-latency histogram;
@@ -461,31 +462,31 @@ def record_compress(registry: MetricsRegistry, *, point) -> None:
 def record_cluster(
     registry: MetricsRegistry,
     *,
-    policy: str,
-    tenant_offered: dict,
-    tenant_outcomes: dict,
-    tenant_slo_attained: dict,
+    metrics,
+    outcomes: tuple,
     tenant_latencies_us: dict,
-    routing_decisions: dict,
-    shed: int,
-    autoscale_actions: list,
     pool_batches: dict,
-    pool_cache: dict,
-    pool_depth_samples: dict,
-    pool_device_samples: dict,
+    pools: list,
+    actions: list,
+    device_samples: dict,
 ) -> None:
     """Record one cluster run's raw outcomes into ``registry``.
 
     Defines the ``repro_cluster_*`` schema (see the module docstring)
     in one place, mirroring :func:`repro.serving.metrics.record_serving`.
-    ``pool_batches`` maps pool -> ``(batches, requests, tokens)``
-    totals; ``pool_cache`` maps pool -> ``(hits, misses)``.
+    Reads the run's :class:`~repro.cluster.metrics.ClusterMetrics`
+    (tenant and pool summaries; ``outcomes`` names the per-outcome
+    count fields), each tenant's completion latencies in record order,
+    each pool's ``(batches, requests, tokens)`` dispatch totals, the
+    fleet's :class:`~repro.cluster.pools.PoolRuntime` objects (weight
+    caches, queue-depth samples), the autoscaler's actions and each
+    pool's replica-count samples.
     """
     offered = registry.counter(
         "repro_cluster_requests_offered_total",
         "Requests each tenant's workload generated",
     )
-    outcomes = registry.counter(
+    outcome_counts = registry.counter(
         "repro_cluster_requests_total",
         "Requests by tenant and final outcome",
     )
@@ -497,32 +498,35 @@ def record_cluster(
         "repro_cluster_latency_us",
         "Arrival-to-completion latency of completed requests (us)",
     )
-    for tenant, count in tenant_offered.items():
-        offered.inc(count, tenant=tenant)
-        for outcome, n in tenant_outcomes[tenant].items():
+    for tenant, summary in metrics.tenants.items():
+        offered.inc(summary.offered, tenant=tenant)
+        for outcome in outcomes:
+            n = getattr(summary, outcome)
             if n:
-                outcomes.inc(n, tenant=tenant, outcome=outcome)
-        if tenant_slo_attained[tenant]:
-            attained.inc(tenant_slo_attained[tenant], tenant=tenant)
+                outcome_counts.inc(n, tenant=tenant, outcome=outcome)
+        if summary.slo_attained:
+            attained.inc(summary.slo_attained, tenant=tenant)
         for value in tenant_latencies_us[tenant]:
             latency.observe(value, tenant=tenant)
     decisions = registry.counter(
         "repro_cluster_routing_decisions_total",
         "Requests the router sent to each pool",
     )
-    for pool, count in routing_decisions.items():
-        if count:
-            decisions.inc(count, pool=pool, policy=policy)
+    for pool, summary in metrics.pools.items():
+        if summary.routed:
+            decisions.inc(summary.routed, pool=pool,
+                          policy=metrics.router_policy)
     registry.counter(
         "repro_cluster_shed_total",
         "Requests the SLO router refused at the door",
-    ).inc(shed)
-    actions = registry.counter(
+    ).inc(metrics.shed)
+    scale = registry.counter(
         "repro_cluster_autoscaler_actions_total",
         "Autoscaler scale-ups/downs by pool and trigger signal",
     )
-    for _, pool, direction, reason in autoscale_actions:
-        actions.inc(1, pool=pool, direction=direction, reason=reason)
+    for action in actions:
+        scale.inc(1, pool=action.pool, direction=action.direction,
+                  reason=action.reason)
     batches = registry.counter(
         "repro_cluster_batches_total", "Batches dispatched per pool",
     )
@@ -546,17 +550,20 @@ def record_cluster(
         "repro_cluster_devices",
         "Per-pool active replica count at each change",
     )
-    for pool, (n_batches, n_requests, n_tokens) in pool_batches.items():
+    for pool in pools:
+        name = pool.name
+        n_batches, n_requests, n_tokens = pool_batches[name]
         if n_batches:
-            batches.inc(n_batches, pool=pool)
-            batch_requests.inc(n_requests, pool=pool)
-            batch_tokens.inc(n_tokens, pool=pool)
-        hits, misses = pool_cache[pool]
+            batches.inc(n_batches, pool=name)
+            batch_requests.inc(n_requests, pool=name)
+            batch_tokens.inc(n_tokens, pool=name)
+        hits = pool.workers.weight_cache_hits
+        misses = pool.workers.weight_cache_misses
         if hits:
-            cache.inc(hits, pool=pool, outcome="hit")
+            cache.inc(hits, pool=name, outcome="hit")
         if misses:
-            cache.inc(misses, pool=pool, outcome="miss")
-        for ts_us, value in pool_depth_samples[pool]:
-            depth.sample(ts_us, value, pool=pool)
-        for ts_us, value in pool_device_samples[pool]:
-            devices.sample(ts_us, value, pool=pool)
+            cache.inc(misses, pool=name, outcome="miss")
+        for ts_us, value in pool.queue.depth_samples:
+            depth.sample(ts_us, value, pool=name)
+        for ts_us, value in device_samples[name]:
+            devices.sample(ts_us, value, pool=name)

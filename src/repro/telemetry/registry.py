@@ -60,6 +60,29 @@ def nearest_rank(ordered: Sequence[float], pct: float) -> float:
     return ordered[max(1, math.ceil(pct / 100.0 * len(ordered))) - 1]
 
 
+def latency_summary(
+    latencies: Sequence[float],
+) -> tuple[float, float, float, float]:
+    """Nearest-rank ``(p50, p95, p99, mean)`` of a latency sample.
+
+    The repo's one latency summary, for serving, cluster and decode.
+    The mean is the left-to-right float sum in the caller's order (a
+    fleet run's record order), not in sorted order.  All four are 0.0
+    when the sample is empty: zero, never NaN, so an empty run's
+    summary survives ``json.dumps(..., allow_nan=False)``.
+    """
+    if not latencies:
+        return 0.0, 0.0, 0.0, 0.0
+    ordered = sorted(latencies)
+    total = 0.0
+    for value in latencies:
+        total += value
+    return (
+        nearest_rank(ordered, 50), nearest_rank(ordered, 95),
+        nearest_rank(ordered, 99), total / len(latencies),
+    )
+
+
 def _label_key(labels: dict) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 

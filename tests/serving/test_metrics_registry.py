@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import json
-import math
 
 import pytest
 
@@ -15,7 +14,7 @@ from repro.config import (
 )
 from repro.memsys import ddr4_2400
 from repro.serving import simulate_serving
-from repro.serving.metrics import compute_metrics, record_serving
+from repro.serving.metrics import record_serving
 from repro.telemetry import MetricsRegistry, to_json
 
 
@@ -106,41 +105,23 @@ class TestSimulatorRegistry:
 
 
 class TestComputeMetricsCompat:
+    #: One run's raw outcomes, as :func:`record_serving` takes them.
     ARGS = dict(
         latencies_us=[100.0, 250.0, 900.0],
         batch_sizes=[2, 1],
         batch_tokens=[40, 16],
-        seq_len=64,
         offered=5,
         rejected=1,
         expired=1,
-        makespan_us=1000.0,
-        device_busy_fraction=0.5,
-        ideal_cycles_per_run=800,
-        run_cycles=1000,
-        num_devices=1,
         depth_samples=[(0.0, 1), (100.0, 0)],
     )
-
-    def test_external_registry_matches_private_one(self):
-        reg = MetricsRegistry()
-        with_reg = compute_metrics(**self.ARGS, registry=reg)
-        without = compute_metrics(**self.ARGS)
-        assert with_reg == without
-        assert reg.get("repro_serving_requests_total").value(
-            outcome="completed"
-        ) == 3
 
     def test_record_serving_accumulates_across_runs(self):
         # Counters are monotonic by design: a registry shared by
         # several runs holds the union of their outcomes.
         reg = MetricsRegistry()
-        args = {k: v for k, v in self.ARGS.items() if k not in (
-            "seq_len", "makespan_us", "device_busy_fraction",
-            "ideal_cycles_per_run", "run_cycles", "num_devices",
-        )}
-        record_serving(reg, **args)
-        record_serving(reg, **args)
+        record_serving(reg, **self.ARGS)
+        record_serving(reg, **self.ARGS)
         assert reg.get(
             "repro_serving_requests_offered_total"
         ).value() == 10
@@ -190,11 +171,18 @@ class TestExportGolden:
         )
         assert hashlib.sha256(payload.encode()).hexdigest() == expected
 
-    def test_nothing_completed_reports_nan_latencies(self):
-        args = dict(TestComputeMetricsCompat.ARGS, latencies_us=[])
-        m = compute_metrics(**args)
-        assert m.completed == 0
-        assert math.isnan(m.latency_p50_us)
-        assert math.isnan(m.latency_p99_us)
-        assert math.isnan(m.latency_mean_us)
+    def test_nothing_completed_reports_zero_latencies(self, model):
+        # Every batch faults and ABFT gets no retry: nothing completes.
+        result = simulate_serving(
+            model, AcceleratorConfig(abft_protected=True),
+            _serving(batch_fault_rate=1.0, max_retries=0, num_requests=20),
+        )
+        m = result.metrics
+        assert m.completed == 0 and m.failed == 20
+        assert m.latency_p50_us == 0.0
+        assert m.latency_p99_us == 0.0
+        assert m.latency_mean_us == 0.0
         assert m.throughput_rps == 0.0
+        rows = m.as_rows()
+        for name in ("p50", "p95", "p99"):
+            assert [f"{name} latency", "n/a"] in rows

@@ -4,7 +4,8 @@ Two pins on that move:
 
 * a differential test: ``simulate_serving`` equals the equivalent
   one-pool, one-tenant, round-robin, autoscaler-off ``simulate_cluster``
-  run record for record on fault-free shapes;
+  run record for record, and in every statistic both report, on
+  fault-free shapes;
 * golden fingerprints of the fault path (ABFT retries, exhausted retry
   budgets, device fail-stops, queues stranded on a dead pool, silent
   corruption), recorded before the serving loop was folded into the
@@ -92,7 +93,24 @@ class TestClusterEquivalence:
         ]
         statuses = {r.status for r in served.records}
         assert "completed" in statuses
-        assert served.metrics.latency_p99_us == clustered.metrics.latency_p99_us
+        s, c = served.metrics, clustered.metrics
+        pool = c.pools["only"]
+        assert (
+            s.offered, s.completed, s.rejected, s.expired, s.failed,
+            s.latency_p50_us, s.latency_p95_us, s.latency_p99_us,
+            s.latency_mean_us, s.throughput_rps, s.makespan_us,
+        ) == (
+            c.offered, c.completed, c.rejected, c.expired, c.failed,
+            c.latency_p50_us, c.latency_p95_us, c.latency_p99_us,
+            c.latency_mean_us, c.throughput_rps, c.makespan_us,
+        )
+        assert (
+            s.num_batches, s.mean_batch_size, s.occupancy,
+            s.max_queue_depth, s.weight_cache_hit_rate,
+        ) == (
+            pool.num_batches, pool.mean_batch_size, pool.occupancy,
+            pool.max_queue_depth, pool.weight_cache_hit_rate,
+        )
 
 
 def _fingerprint(result) -> str:
